@@ -26,15 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_PAIR_DT = np.dtype([("r", np.int64), ("t", np.int64)])
-
-
-def _as_struct(rows: np.ndarray, toks: np.ndarray) -> np.ndarray:
-    out = np.empty(rows.size, dtype=_PAIR_DT)
-    out["r"] = rows
-    out["t"] = toks
-    return out
-
 
 def flatten_lists(list_col) -> tuple[np.ndarray, np.ndarray]:
     """Arrow ListArray (or ChunkedArray) -> (values int64, offsets int64)."""
@@ -62,111 +53,21 @@ def _compact_keys(va, ra, vb, rb):
     return ka, kb
 
 
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _mix64(h: np.ndarray) -> np.ndarray:
-    h = h.astype(np.uint64, copy=True)
-    h ^= h >> np.uint64(30)
-    h *= _MIX1
-    h ^= h >> np.uint64(27)
-    h *= _MIX2
-    h ^= h >> np.uint64(31)
-    return h
-
-
-def build_membership(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Open-addressing (linear-probing) hash set over int64 keys, built once
-    at broadcast-index time.  Lookup needs ~1.5 cache-missing probes instead
-    of the ~23 a binary search over the fused-key array costs — the verify
-    kernel's dominant memory-latency term at corpus scale."""
-    n = keys.size
-    size = 1 << int(np.ceil(np.log2(max(n * 2, 16))))
-    mask = size - 1
-    table = np.full(size, np.iinfo(np.int64).min, np.int64)  # sentinel: empty
-    idx = (_mix64(keys.view(np.uint64)) & np.uint64(mask)).astype(np.int64)
-    pending = np.arange(n)
-    idx_p = idx.copy()
-    for _ in range(size.bit_length() + 64):
-        if pending.size == 0:
-            break
-        slot = idx_p[pending]
-        occupied = table[slot] != np.iinfo(np.int64).min
-        dup = table[slot] == keys[pending]  # key already placed
-        free = ~occupied
-        cand = pending[free]
-        cslot = slot[free]
-        uniq_slot, first_i = np.unique(cslot, return_index=True)
-        winners = cand[first_i]
-        table[uniq_slot] = keys[winners]
-        placed_in_cand = np.zeros(cand.size, bool)
-        placed_in_cand[first_i] = True
-        placed = np.zeros(pending.size, bool)
-        placed[free] = placed_in_cand
-        placed |= dup
-        nxt = pending[~placed]
-        idx_p[nxt] = (idx_p[nxt] + 1) & mask
-        pending = nxt
-    else:  # pragma: no cover
-        raise RuntimeError("membership table build did not converge")
-    return table, mask
-
-
-def member_contains(table: np.ndarray, mask: int, keys: np.ndarray) -> np.ndarray:
-    """Vectorized membership probe with linear probing."""
-    if keys.size == 0:
-        return np.zeros(0, bool)
-    sentinel = np.iinfo(np.int64).min
-    idx = (_mix64(keys.view(np.uint64)) & np.uint64(mask)).astype(np.int64)
-    found = np.zeros(keys.size, bool)
-    active = np.arange(keys.size)
-    for _ in range(64 + int(np.int64(mask)).bit_length()):
-        cur = table[idx[active]]
-        k = keys[active]
-        hit = cur == k
-        found[active[hit]] = True
-        cont = ~hit & (cur != sentinel)
-        active = active[cont]
-        if active.size == 0:
-            break
-        idx[active] = (idx[active] + 1) & mask
-    return found
-
-
-def pair_overlap_member(
-    table: np.ndarray, tmask: int, m: int,
-    r1: np.ndarray, vb: np.ndarray, ob: np.ndarray,
-) -> np.ndarray:
-    """|A ∩ B| per pair via membership probes: for every token t of the
-    B side, test (r1_of_pair, t) against the corpus membership set — no
-    A-side gather, no fused-key binary search."""
-    n = ob.size - 1
-    if vb.size == 0:
-        return np.zeros(n, np.int64)
-    rows_b = np.repeat(np.arange(n, dtype=np.int64), np.diff(ob))
-    keys = r1[rows_b] * np.int64(m) + vb
-    found = member_contains(table, tmask, keys)
-    return np.bincount(rows_b[found], minlength=n)
-
-
 def pair_overlap_bitmap_runs(
     corpus_vals: np.ndarray, corpus_offs: np.ndarray, m: int,
-    r1: np.ndarray, vb: np.ndarray, ob: np.ndarray, runs_max: int = 4096,
-):
+    r1: np.ndarray, vb: np.ndarray, ob: np.ndarray,
+) -> np.ndarray:
     """|A ∩ B| per pair when pairs arrive in contiguous runs of equal r1
     (the dedupe shuffle buckets pairs by hash(id1), so each verify batch
     holds a handful of runs): per run, mark record r1's tokens in an
     m-bit L2-resident bitmap once, probe every partner token with ONE
-    cache-friendly bool gather, unmark.  Returns None when the batch has no
-    run structure (caller falls back to the fused-key kernel)."""
+    cache-friendly bool gather, unmark.  Batches without run structure
+    (every r1 distinct) still work, one run per pair."""
     n = ob.size - 1
     if n == 0:
         return np.zeros(0, np.int64)
     change = np.flatnonzero(r1[1:] != r1[:-1]) + 1
     starts = np.concatenate(([0], change))
-    if starts.size > runs_max:
-        return None
     mark = np.zeros(m, bool)
     out = np.zeros(n, np.int64)
     run_ends = np.concatenate((starts[1:], [n]))
@@ -190,57 +91,6 @@ def pair_overlap_bitmap_runs(
             out[s:e] = res
         mark[xt] = False
     return out
-
-
-def pair_overlap_segmented(
-    corpus_vals: np.ndarray, corpus_offs: np.ndarray, r1: np.ndarray,
-    vb: np.ndarray, ob: np.ndarray,
-) -> np.ndarray:
-    """|A ∩ B| per pair where A lives in the corpus index: each B-side token
-    is binary-searched WITHIN its pair's A segment ([offs[r1], offs[r1+1])
-    of the corpus array).  Needles of one pair probe the same ~1KB segment,
-    so after the first iteration the segment is cache-resident — unlike a
-    fused-key search over the whole gathered array (~23 cache-missing probes)
-    or a hash-set probe into a table bigger than LLC.  No A-side gather."""
-    n = ob.size - 1
-    if vb.size == 0:
-        return np.zeros(n, np.int64)
-    rows_b = np.repeat(np.arange(n, dtype=np.int64), np.diff(ob))
-    rr = r1[rows_b]
-    lo = corpus_offs[rr].copy()
-    hi = corpus_offs[rr + 1].copy()
-    width = int((hi - lo).max()) if lo.size else 0
-    for _ in range(max(width, 1).bit_length()):
-        active = lo < hi
-        mid = (lo + hi) >> 1
-        v = corpus_vals[np.minimum(mid, corpus_vals.size - 1)]
-        less = v < vb
-        lo = np.where(active & less, mid + 1, lo)
-        hi = np.where(active & ~less, mid, hi)
-    end = corpus_offs[rr + 1]
-    found = (lo < end) & (corpus_vals[np.minimum(lo, corpus_vals.size - 1)] == vb)
-    return np.bincount(rows_b[found], minlength=n)
-
-
-def pair_overlap_labeled(
-    va: np.ndarray, oa: np.ndarray, vb: np.ndarray, ob: np.ndarray, m: int
-) -> np.ndarray:
-    """|A_i ∩ B_i| when tokens are pre-relabeled to dense ids < m (built once
-    at broadcast-index time): (row, label) fuses into ONE int64 key, so the
-    whole batch is a single native-int binary search — no per-batch
-    np.unique.  This is the hot verify kernel."""
-    n = oa.size - 1
-    if va.size == 0 or vb.size == 0:
-        return np.zeros(n, np.int64)
-    m = np.int64(m)
-    ra = np.repeat(np.arange(n, dtype=np.int64), np.diff(oa))
-    rb = np.repeat(np.arange(n, dtype=np.int64), np.diff(ob))
-    ka = ra * m + va
-    kb = rb * m + vb
-    idx = np.searchsorted(kb, ka)
-    idx_c = np.minimum(idx, kb.size - 1)
-    match = (kb[idx_c] == ka) & (idx < kb.size)
-    return np.bincount(ra[match], minlength=n)  # ~10x np.add.at
 
 
 def pair_overlap(

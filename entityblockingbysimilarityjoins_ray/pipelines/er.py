@@ -91,9 +91,10 @@ class _SetsimShared:
                 # the fingerprint folds the INPUT's identity, not just
                 # config: when the store is keyed (shard_store_dir set, so a
                 # later run may resume it) that identity is a distributed
-                # CONTENT fingerprint — row count + id-hash xor + token-hash
-                # sum — so an edited corpus with the same count can never
-                # silently reuse a stale token store; cfg.resume=False
+                # CONTENT fingerprint — the row count plus a wrapping sum of
+                # per-row mix64(id-hash ⊕ payload-hash) — so an edited
+                # corpus with the same count can never silently reuse a
+                # stale token store; cfg.resume=False
                 # forces a rebuild outright
                 from ..stages.verify import dataset_content_fp
 

@@ -18,7 +18,7 @@ Physical plan per rule:
   -> groupby(pbucket) + vectorized within-bucket pair gen   [the big shuffle]
   -> slim (k1, k2) candidate dedup (hash-bucket groupby)    [16-byte shuffle]
   -> exact verify: broadcast index under the gate, else the
-     sharded-index grid (verify.verify_pairs_sharded)       [filter]
+     sharded-index grid (verify.grid_verify)                [filter]
 
 Skew handling (explicit, north-rule requirement): prefix tokens are the
 globally rarest tokens of each record (df-ascending order, mirroring the
@@ -195,13 +195,11 @@ def _emit_signatures(
     batch: pa.Table,
     *,
     df_ref,
-    sim: str | None = None,
-    threshold: float | None = None,
+    rules: list[tuple[str, float]],
     pair_partitions: int,
     salt_df_threshold: int,
     salt_factor: int,
     rs_side: int | None = None,
-    rules: list[tuple[str, float]] | None = None,
 ) -> pa.Table:
     """Emit (tok, cell, side, id, tlen) prefix-signature rows per record.
 
@@ -218,12 +216,13 @@ def _emit_signatures(
     cells (u, v) for all v, the B record picks v and replicates across all
     u, so each (u, v) cell holds exactly one slice of the A x B space.
 
-    ``rules``: FUSED multi-rule mode — several set-sim rules over the SAME
-    tokenization share one signature pass.  The per-record prefix uses the
-    element-wise LOOSEST bound T(l) = min over rules, so each rule's
-    candidate set stays a superset of its single-rule join (the rarest
-    common token of any pair passing rule r sits inside the fused prefix);
-    exact per-rule verification restores exactness downstream."""
+    ``rules``: the (sim, threshold) rules — several set-sim rules over the
+    SAME tokenization share one signature pass (FUSED mode).  The
+    per-record prefix uses the element-wise LOOSEST bound T(l) = min over
+    rules, so each rule's candidate set stays a superset of its single-rule
+    join (the rarest common token of any pair passing rule r sits inside
+    the fused prefix); exact per-rule verification restores exactness
+    downstream."""
     df_toks, df_vals = get_broadcast(df_ref)
     ids = np.asarray(batch.column("conv_id").to_numpy(zero_copy_only=False), dtype=object)
     col = batch.column("toks")
@@ -243,8 +242,7 @@ def _emit_signatures(
     vals_o, dfs_o, rows_o = vals[order], dfs[order], rows[order]
     pos = np.arange(vals_o.size) - np.repeat(offs[:-1], lens)
 
-    rl = rules if rules is not None else [(sim, threshold)]
-    T = np.minimum.reduce([min_overlap_count(s, t, lens) for s, t in rl])
+    T = np.minimum.reduce([min_overlap_count(s, t, lens) for s, t in rules])
     prefix_len = lens - T + 1  # <=0 -> record cannot match (overlap removeShort)
     keep = (pos < prefix_len[rows_o]) & (dfs_o >= 2)
     tok_e, row_e = vals_o[keep], rows_o[keep]
@@ -367,10 +365,8 @@ def _iter_triangle_chunks(starts, sizes, chunk_pairs: int = 262_144):
 
 
 def _pairgen_bucket(
-    t: pa.Table, *, sim: str | None = None, threshold: float | None = None,
-    alpha: float | None,
+    t: pa.Table, *, rules: list[tuple[str, float]], alpha: float | None,
     max_group_size: int | None, chunk_pairs: int = 262_144, rs: bool = False,
-    rules: list[tuple[str, float]] | None = None,
 ) -> pa.Table:
     """Vectorized within-bucket candidate generation with PPJoin-style
     pruning (Xiao et al., WWW'08):
@@ -387,10 +383,9 @@ def _pairgen_bucket(
     Candidate index space is decoded in fixed-size chunks so a hot group
     never materializes its full m^2/2 index range at once.
 
-    ``rules``: fused multi-rule mode — the pairwise bound is the element-wise
-    loosest min over rules (see _emit_signatures); ``alpha`` must then be the
-    fused (minimum) length-ratio, computed by the caller."""
-    rl = rules if rules is not None else [(sim, threshold)]
+    ``rules``: the pairwise bound is the element-wise loosest min over the
+    rules (see _emit_signatures); ``alpha`` must be their fused (minimum)
+    length-ratio (fused_length_ratio), computed by the caller."""
     tok = np.asarray(t.column("tok"), dtype=np.int64)
     cell = np.asarray(t.column("cell"), dtype=np.int64)
     side = np.asarray(t.column("side"), dtype=np.int64)
@@ -459,7 +454,7 @@ def _pairgen_bucket(
             lo = np.minimum(la, lb).astype(np.float64)
             hi = np.maximum(la, lb).astype(np.float64)
             mask &= lo >= alpha * hi - _EPS
-        T = np.minimum.reduce([pair_min_overlap(s, th, la, lb) for s, th in rl])
+        T = np.minimum.reduce([pair_min_overlap(s, th, la, lb) for s, th in rules])
         mask &= 1.0 + np.minimum(remain[ii], remain[jj]) >= T
         if not rs:
             mask &= idh[ii] != idh[jj]  # self-pairs (64-bit id-hash dedup)
@@ -738,7 +733,8 @@ def setsim_self_join(
     """Threshold set-similarity self-join (jac/cos/dice >= δ, or overlap >= c).
 
     Output-equivalent to the reference's SetJoinParallel / OvlpSelfJoin
-    (setjoin_parallel.cc, ovlpjoin.cc) for the same (sim, threshold).
+    (setjoin_parallel.cc, ovlpjoin.cc) for the same (sim, threshold).  Runs
+    as the fused join (setsim_self_join_multi) with one rule.
 
     ``in_join_topk`` keeps only the K highest-sim pairs of THIS rule's join —
     the reference's MAINTAIN_VALUE in-join per-thread heaps
@@ -752,86 +748,12 @@ def setsim_self_join(
     rules over the same (attr, tok) share one df table, one broadcast verify
     index, one empty-record scan and one count (hoisted into
     pipelines.er.block — no redundant per-rule passes)."""
-    if df_ref is None:
-        if df_table is None:
-            df_table = build_df_table(toks_ds)
+    if df_ref is None and df_table is not None:
         df_ref = ray.put(df_table)
-    if broadcast is None:
-        n_records = n_records if n_records is not None else toks_ds.count()
-        from .verify import should_broadcast
-
-        broadcast = should_broadcast(toks_ds, n_records, cfg.broadcast_limit,
-                                     cfg.broadcast_bytes_limit)
-    if broadcast and verify_ref is None:
-        from .verify import collect_token_index
-
-        verify_ref = ray.put(collect_token_index(toks_ds))
-    sigs = toks_ds.map_batches(
-        _emit_signatures,
-        fn_kwargs=dict(
-            df_ref=df_ref, sim=sim, threshold=threshold,
-            pair_partitions=cfg.pair_partitions,
-            salt_df_threshold=cfg.salt_df_threshold, salt_factor=cfg.salt_factor,
-        ),
-        batch_format="pyarrow",
-    )
-    if broadcast:
-        # slim (k1, k2) candidates DEDUPE before the verify: dup-dense pairs
-        # surface once per shared signature token (~50x for near-identical
-        # docs at sf0.1), and the 16-byte int shuffle is far cheaper than
-        # re-verifying the copies — measured 39.2 s -> 4.5 s dedupe + 10.8 s
-        # verify on 59.85M raw -> 31.7M unique pairs at sf0.1/32 cpus (the
-        # in-bucket (k1, k2) sort also hands the bitmap kernel contiguous k1
-        # runs).  Post-dedup each (pair, rule) row is unique by construction:
-        # the survivor-dedup shuffle is gone, only a projection remains.
-        from .verify import hash_verify_rules_batch
-
-        cands = dedupe_pairs(
-            sigs.groupby("pb").map_groups(
-                _pairgen_bucket,
-                fn_kwargs={"sim": sim, "threshold": threshold,
-                           "alpha": length_ratio(sim, threshold),
-                           "max_group_size": cfg.max_group_size},
-                batch_format="pyarrow",
-            ),
-            cfg.pair_partitions,
-        )
-        rows = cands.map_batches(
-            hash_verify_rules_batch,
-            fn_kwargs=dict(toks_ref=verify_ref, rules=[(sim, threshold)]),
-            batch_format="pyarrow",
-            batch_size=8192,
-        )
-        verified = rows.map_batches(_strip_rule_cols, batch_format="pyarrow")
-    else:
-        # beyond-broadcast: slim (k1, k2) candidates shuffle ONCE to grid
-        # cells of a sharded token store — no token list ever crosses a
-        # shuffle, worker memory bounded by two shards (see verify.py)
-        from .verify import build_token_shard_store, verify_pairs_sharded
-
-        candidates = sigs.groupby("pb").map_groups(
-            _pairgen_bucket,
-            fn_kwargs={"sim": sim, "threshold": threshold,
-                       "alpha": length_ratio(sim, threshold),
-                       "max_group_size": cfg.max_group_size},
-            batch_format="pyarrow",
-        )
-        if shard_store is None:
-            shard_store = build_token_shard_store(
-                toks_ds, num_shards=verify_shards(cfg),
-                store_dir=cfg.shard_store_dir)
-        verified = verify_pairs_sharded(
-            candidates, shard_store, sim=sim, threshold=threshold)
-    if in_join_topk is not None:
-        from .topk import topk_pairs
-
-        top = topk_pairs(verified, in_join_topk, score_col="sim")
-        verified = ray.data.from_pandas(top)
-    if sim in ("jac", "cos", "dice") and cfg.include_empty_pairs and threshold <= 1.0:
-        ep = _empty_pairs_ds(toks_ds, cfg, ids=empty_ids)
-        if ep is not None:
-            verified = verified.union(ep)
-    return verified
+    return _setsim_self_join(
+        toks_ds, [(sim, threshold)], cfg, df_ref=df_ref, broadcast=broadcast,
+        verify_ref=verify_ref, empty_ids=empty_ids, n_records=n_records,
+        shard_store=shard_store, in_join_topk=in_join_topk)
 
 
 def fused_length_ratio(rules: list[tuple[str, float]]) -> float | None:
@@ -868,6 +790,16 @@ def setsim_self_join_multi(
     sf0.1 the jac+cos pair of rules spends ~147 s in two nearly identical
     passes — fusing them reclaims the duplicated signature emission, pair
     shuffle and overlap computation."""
+    return _setsim_self_join(
+        toks_ds, rules, cfg, df_ref=df_ref, broadcast=broadcast,
+        verify_ref=verify_ref, empty_ids=empty_ids, n_records=n_records,
+        shard_store=shard_store)
+
+
+def _setsim_self_join(toks_ds, rules, cfg: PipelineConfig, *, df_ref,
+                      broadcast, verify_ref, empty_ids, n_records,
+                      shard_store, in_join_topk: int | None = None):
+    """The body shared by setsim_self_join and setsim_self_join_multi."""
     if df_ref is None:
         df_ref = ray.put(build_df_table(toks_ds))
     if broadcast is None:
@@ -889,23 +821,24 @@ def setsim_self_join_multi(
         ),
         batch_format="pyarrow",
     )
+    candidates = sigs.groupby("pb").map_groups(
+        _pairgen_bucket,
+        fn_kwargs={"rules": rules, "alpha": fused_length_ratio(rules),
+                   "max_group_size": cfg.max_group_size},
+        batch_format="pyarrow",
+    )
     if broadcast:
-        # slim (k1, k2) dedupe-before-verify (see setsim_self_join): the int
-        # pair shuffle is far cheaper than re-verifying ~50x-duplicated
-        # dup-cluster candidates, and the in-bucket sort feeds the bitmap
-        # kernel contiguous k1 runs
+        # slim (k1, k2) candidates DEDUPE before the verify: dup-dense pairs
+        # surface once per shared signature token (~50x for near-identical
+        # docs at sf0.1), and the 16-byte int shuffle is far cheaper than
+        # re-verifying the copies — measured 39.2 s -> 4.5 s dedupe + 10.8 s
+        # verify on 59.85M raw -> 31.7M unique pairs at sf0.1/32 cpus (the
+        # in-bucket (k1, k2) sort also hands the bitmap kernel contiguous k1
+        # runs).  Post-dedup each (pair, rule) row is unique by construction:
+        # the survivor-dedup shuffle is gone, only a projection remains.
         from .verify import hash_verify_rules_batch
 
-        cands = dedupe_pairs(
-            sigs.groupby("pb").map_groups(
-                _pairgen_bucket,
-                fn_kwargs={"rules": rules, "alpha": fused_length_ratio(rules),
-                           "max_group_size": cfg.max_group_size},
-                batch_format="pyarrow",
-            ),
-            cfg.pair_partitions,
-        )
-        rows = cands.map_batches(
+        rows = dedupe_pairs(candidates, cfg.pair_partitions).map_batches(
             hash_verify_rules_batch,
             fn_kwargs=dict(toks_ref=verify_ref, rules=rules),
             batch_format="pyarrow",
@@ -913,19 +846,21 @@ def setsim_self_join_multi(
         )
         verified = rows.map_batches(_strip_rule_cols, batch_format="pyarrow")
     else:
+        # beyond-broadcast: slim (k1, k2) candidates shuffle ONCE to grid
+        # cells of a sharded token store — no token list ever crosses a
+        # shuffle, worker memory bounded by two shards (see verify.py)
         from .verify import build_token_shard_store, verify_pairs_sharded
 
-        candidates = sigs.groupby("pb").map_groups(
-            _pairgen_bucket,
-            fn_kwargs={"rules": rules, "alpha": fused_length_ratio(rules),
-                       "max_group_size": cfg.max_group_size},
-            batch_format="pyarrow",
-        )
         if shard_store is None:
             shard_store = build_token_shard_store(
                 toks_ds, num_shards=verify_shards(cfg),
                 store_dir=cfg.shard_store_dir)
         verified = verify_pairs_sharded(candidates, shard_store, rules=rules)
+    if in_join_topk is not None:
+        from .topk import topk_pairs
+
+        top = topk_pairs(verified, in_join_topk, score_col="sim")
+        verified = ray.data.from_pandas(top)
     n_empty_rules = sum(
         1 for s, t in rules if s in ("jac", "cos", "dice") and t <= 1.0
     )
@@ -1144,8 +1079,9 @@ def setsim_rs_join(
         else:
             df_table = build_df_table(toks_a.union(toks_b))
     df_ref = ray.put(df_table)
+    rules = [(sim, threshold)]
     common = dict(
-        df_ref=df_ref, sim=sim, threshold=threshold,
+        df_ref=df_ref, rules=rules,
         pair_partitions=cfg.pair_partitions,
         salt_df_threshold=cfg.salt_df_threshold, salt_factor=cfg.salt_factor,
     )
@@ -1154,6 +1090,12 @@ def setsim_rs_join(
     )
     sigs_b = toks_b.map_batches(
         _emit_signatures, fn_kwargs=dict(common, rs_side=1), batch_format="pyarrow"
+    )
+    candidates = sigs_a.union(sigs_b).groupby("pb").map_groups(
+        _pairgen_bucket,
+        fn_kwargs={"rules": rules, "alpha": length_ratio(sim, threshold),
+                   "max_group_size": cfg.max_group_size, "rs": True},
+        batch_format="pyarrow",
     )
     if broadcast:
         # slim (k1, k2) candidates DEDUPE before the inline verify against
@@ -1165,7 +1107,7 @@ def setsim_rs_join(
         # every (pair, rule) row is unique by construction — the former
         # survivor-dedup shuffle drops to a projection.  RS pairs carry
         # (A, B) order in (k1, k2), so the un-canonicalized dedup is exact.
-        from .verify import collect_token_index_rs, hash_verify_rules_rs_batch
+        from .verify import collect_token_index_rs, hash_verify_rules_batch
 
         if verify_idx is None:
             verify_idx = collect_token_index_rs(toks_a, toks_b)
@@ -1175,18 +1117,10 @@ def setsim_rs_join(
         # vs ~19x: 2.6M raw vs 31.7M at sf0.1), so an 8x smaller reduce fan
         # avoids 2048 near-empty sort tasks while staying slim-pair-scale
         cands = dedupe_pairs(
-            sigs_a.union(sigs_b).groupby("pb").map_groups(
-                _pairgen_bucket,
-                fn_kwargs={"sim": sim, "threshold": threshold,
-                           "alpha": length_ratio(sim, threshold),
-                           "max_group_size": cfg.max_group_size, "rs": True},
-                batch_format="pyarrow",
-            ),
-            max(survivor_partitions(cfg), cfg.pair_partitions // 8),
-        )
+            candidates, max(survivor_partitions(cfg), cfg.pair_partitions // 8))
         rows = cands.map_batches(
-            hash_verify_rules_rs_batch,
-            fn_kwargs=dict(toks_ref=verify_ref, rules=[(sim, threshold)]),
+            hash_verify_rules_batch,
+            fn_kwargs=dict(toks_ref=verify_ref, rules=rules),
             batch_format="pyarrow",
             batch_size=8192,
         )
@@ -1194,21 +1128,13 @@ def setsim_rs_join(
     else:
         from .verify import build_token_shard_store, verify_pairs_sharded
 
-        candidates = sigs_a.union(sigs_b).groupby("pb").map_groups(
-            _pairgen_bucket,
-            fn_kwargs={"sim": sim, "threshold": threshold,
-                       "alpha": length_ratio(sim, threshold),
-                       "max_group_size": cfg.max_group_size, "rs": True},
-            batch_format="pyarrow",
-        )
         ns = verify_shards(cfg)
         store_a = build_token_shard_store(toks_a, num_shards=ns,
                                           store_dir=cfg.shard_store_dir)
         store_b = build_token_shard_store(toks_b, num_shards=ns,
                                           store_dir=cfg.shard_store_dir)
         verified = verify_pairs_sharded(
-            candidates, store_a, sim=sim, threshold=threshold,
-            store_b=store_b)
+            candidates, store_a, rules=rules, store_b=store_b)
     if sim in ("jac", "cos", "dice") and cfg.include_empty_pairs and threshold <= 1.0:
         ep = _empty_pairs_rs_ds(empty_record_ids(toks_a), empty_record_ids(toks_b))
         if ep is not None:

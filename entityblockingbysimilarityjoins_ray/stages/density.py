@@ -233,7 +233,7 @@ def allscore_topk_weighted(
         for wi, r in zip(w, rules_l):
             if r.sim in ("jac", "cos", "dice", "overlap"):
                 toks_ref, wt_ref = state_refs[(r.attr, r.tok, r.q)]
-                index, vals, offs, _ = get_broadcast(toks_ref)
+                index, vals, offs = get_broadcast(toks_ref)
                 wt_toks, wt_vals, default_wt = get_broadcast(wt_ref)
                 r1 = index.get_indexer(ids1)
                 r2 = index.get_indexer(ids2)

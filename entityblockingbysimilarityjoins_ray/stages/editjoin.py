@@ -16,9 +16,9 @@ variant stringjoin_parallel.h:487-488) — re-expressed as a Ray Data shuffle:
   self-join additionally pairs index-index rows of equal length (triangle).
 - verification = exact Levenshtein <= D, via a broadcast value map under
   ``broadcast_limit``; beyond it the slim (k1, k2) pairs grid-shuffle ONCE
-  against VALUE shard stores and verify in-cell
-  (verify.verify_pairs_sharded_values — no value broadcast, no per-side
-  hash join, cell-local dedup globally exact; the scale path).
+  against VALUE shard stores and verify in-cell (verify.grid_verify with
+  the _lev_cell kernel — no value broadcast, no per-side hash join,
+  cell-local dedup globally exact; the scale path).
 
 Signature hashing is vectorized: each length class becomes an (n, L) uint32
 codepoint matrix (numpy "U" view), and every (l, seg, shift) emission is one
@@ -237,6 +237,19 @@ def _lev_kernel(a: np.ndarray, b: np.ndarray, D: int):
     return d.astype(np.float64), d <= D
 
 
+def _lev_cell(D: int):
+    """Value grid kernel (verify.grid_verify): _lev_kernel over the cell's
+    two value shards' payload strings."""
+    from .verify import GridKernel, _load_value_shard
+
+    def verify(sh1, r1, sh2, r2):
+        sim, keep = _lev_kernel(sh1.vals[r1], sh2.vals[r2], D)
+        rows = np.flatnonzero(keep)
+        return rows, sim[rows]
+
+    return GridKernel(_load_value_shard, verify)
+
+
 def _edit_verify_stage(
     candidates, proj_a, proj_b, D: int, cfg: PipelineConfig, n_records: int | None
 ):
@@ -246,7 +259,7 @@ def _edit_verify_stage(
     broadcast gate they dedupe first — the DuckDB lev kernel is expensive
     per pair, so sorting the slim pairs beats re-verifying copies.  Beyond
     it, the pairs grid-shuffle ONCE against VALUE shard stores
-    (verify.verify_pairs_sharded_values): cell-local dedup is globally
+    (verify.grid_verify, _lev_cell): cell-local dedup is globally
     exact and the in-cell lev kernel needs no value broadcast — replacing
     the former dedupe + two hash-join sorts, whose fixed shuffle latency
     made the sf0.1 join-path lev RS leg run no faster at 32 cpus than 8."""
@@ -269,9 +282,8 @@ def _edit_verify_stage(
             _edit_verify, fn_kwargs=dict(val_ref=ref, D=D), batch_format="pandas",
             batch_size=8192,
         )
-    from ..functions.hashing import hash_strings
     from .blocking import verify_shards
-    from .verify import build_token_shard_store, verify_pairs_sharded_values
+    from .verify import build_token_shard_store, grid_verify, slim_pairs
 
     ns = verify_shards(cfg)
     self_mode = proj_b is proj_a
@@ -281,25 +293,8 @@ def _edit_verify_stage(
     store_b = (None if self_mode else build_token_shard_store(
         proj_b, num_shards=ns, store_dir=cfg.shard_store_dir,
         payload_col="val"))
-
-    def slim(t: pa.Table) -> pa.Table:
-        i1 = hash_strings(np.asarray(
-            t.column("id1").to_numpy(zero_copy_only=False), dtype=object))
-        i2 = hash_strings(np.asarray(
-            t.column("id2").to_numpy(zero_copy_only=False), dtype=object))
-        if self_mode:
-            # cell must be deterministic per pair; output re-canonicalizes
-            k1, k2 = np.minimum(i1, i2), np.maximum(i1, i2)
-        else:
-            k1, k2 = i1, i2
-        return pa.table({"k1": pa.array(k1, pa.int64()),
-                         "k2": pa.array(k2, pa.int64())})
-
-    slimmed = candidates.select_columns(["id1", "id2"]).map_batches(
-        slim, batch_format="pyarrow")
-    return verify_pairs_sharded_values(
-        slimmed, store_a, _lev_kernel, store_b=store_b,
-        kernel_kwargs={"D": D})
+    return grid_verify(slim_pairs(candidates, canonical=self_mode), store_a,
+                       _lev_cell(D), store_b=store_b)
 
 
 def _proj(docs, attr):

@@ -350,7 +350,7 @@ def demand_semijoin_apply(
 ):
     """Generic demand-semi-join co-partition for pair-vs-record operators
     (the beyond-broadcast path for PER-PAIR payload application, e.g.
-    feature extraction; similarity verifies use verify.verify_pairs_sharded
+    feature extraction; similarity verifies use verify.grid_verify
     instead — an index is shardable, per-pair feature state is not):
 
     1. pairs bucket by hash(id1);

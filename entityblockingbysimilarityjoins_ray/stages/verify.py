@@ -21,7 +21,7 @@ records AND bytes):
 from __future__ import annotations
 
 import os
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -81,8 +81,8 @@ def collect_arrow(ds: "ray.data.Dataset") -> pa.Table:
 
 def collect_token_index(toks_ds: "ray.data.Dataset"):
     """Materialize {conv_id -> token set} as flat numpy arrays + id index,
-    with token hashes relabeled ONCE to a dense [0, m) space so the verify
-    kernel can fuse (row, token) into single int64 keys (pair_overlap_labeled).
+    with token hashes relabeled ONCE to a dense [0, m) space so the bitmap
+    verify kernel (overlap_auto_two) can mark tokens in an m-bool array.
 
     Only valid when the record table fits the driver/object store
     (cfg.broadcast_limit); the join path below is the unbounded-scale path.
@@ -136,17 +136,6 @@ def gather_lists(vals: np.ndarray, offs: np.ndarray, rows: np.ndarray):
     return vals[pos], new_offs
 
 
-def _sim_batch(va, oa, vb, ob, sim: str, m: int | None = None) -> np.ndarray:
-    if m is not None:
-        ovlp = S.pair_overlap_labeled(va, oa, vb, ob, m)
-    else:
-        ovlp = S.pair_overlap(va, oa, vb, ob)
-    la, lb = np.diff(oa), np.diff(ob)
-    if sim == "overlap":
-        return ovlp.astype(np.float64)
-    return S.set_sims_from_overlap(ovlp, la, lb, sim)
-
-
 def overlap_auto_two(vals_a, offs_a, vals_b, offs_b, m, r1, r2) -> np.ndarray:
     """Exact per-pair overlap over two (possibly identical) corpora via the
     r1-sorted BITMAP kernel: sort the batch by r1 (no-op when pairs arrive
@@ -159,12 +148,10 @@ def overlap_auto_two(vals_a, offs_a, vals_b, offs_b, m, r1, r2) -> np.ndarray:
         return np.zeros(0, np.int64)
     if np.all(r1[1:] >= r1[:-1]):
         vb, ob = gather_lists(vals_b, offs_b, r2)
-        return S.pair_overlap_bitmap_runs(vals_a, offs_a, m, r1, vb, ob,
-                                          runs_max=1 << 62)
+        return S.pair_overlap_bitmap_runs(vals_a, offs_a, m, r1, vb, ob)
     order = np.argsort(r1, kind="stable")
     vb, ob = gather_lists(vals_b, offs_b, r2[order])
-    ovlp = S.pair_overlap_bitmap_runs(vals_a, offs_a, m, r1[order], vb, ob,
-                                      runs_max=1 << 62)
+    ovlp = S.pair_overlap_bitmap_runs(vals_a, offs_a, m, r1[order], vb, ob)
     out = np.empty_like(ovlp)
     out[order] = ovlp
     return out
@@ -174,55 +161,12 @@ def overlap_auto(vals, offs, m, r1, r2) -> np.ndarray:
     return overlap_auto_two(vals, offs, vals, offs, m, r1, r2)
 
 
-def _emit_rule_rows(ids1, ids2, ok, sims_keeps, canonicalize_output: bool,
-                    batch: pa.Table) -> pa.Table:
-    """Assemble the output rows of a (possibly multi-rule) verify batch.
-
-    ``sims_keeps``: list of (sim_values_over_ok, keep_mask_over_ok) — one per
-    rule; each passing (pair, rule) yields one output row."""
-    if canonicalize_output:
-        parts1, parts2, partss = [], [], []
-        ids1_ok = ids1[ok]
-        ids2_ok = ids2[ok]
-        for s, keep in sims_keeps:
-            a = ids1_ok[keep].astype("U")
-            b = ids2_ok[keep].astype("U")
-            swap = a > b
-            parts1.append(np.where(swap, b, a))
-            parts2.append(np.where(swap, a, b))
-            partss.append(s[keep])
-        return pa.table({
-            "id1": pa.array(np.concatenate(parts1) if parts1 else np.empty(0, "U1"), pa.string()),
-            "id2": pa.array(np.concatenate(parts2) if parts2 else np.empty(0, "U1"), pa.string()),
-            "sim": pa.array(np.concatenate(partss) if partss else np.empty(0, np.float64), pa.float64()),
-        })
-    # filter the original Arrow columns so id types (string / int64 / ...)
-    # pass through unchanged
-    outs = []
-    for s, keep in sims_keeps:
-        mask = ok.copy()
-        mask[ok] = keep
-        out = batch.select(["id1", "id2"]).filter(pa.array(mask))
-        outs.append(out.append_column("sim", pa.array(s[keep], type=pa.float64())))
-    return pa.concat_tables(outs) if len(outs) > 1 else outs[0]
-
-
-def broadcast_verify_batch(
-    batch: pa.Table, *, toks_ref, sim: str | None = None,
-    threshold: float | None = None, canonicalize_output: bool = False,
-    rules: list[tuple[str, float]] | None = None,
-) -> pa.Table:
-    """Stateless verify task: token index fetched once per worker process
-    (get_broadcast; zero-copy plasma) — no actor-pool CPU reservation.
-
-    ``canonicalize_output``: blocking self-joins emit HASH-ordered pairs for
-    shuffle/kernel locality; the survivors are swapped back to lexicographic
-    (id1 < id2) here.
-
-    ``rules``: fused multi-rule mode — the exact overlap (the dominant cost)
-    is computed ONCE per pair, then each rule's sim is derived arithmetically
-    and one output row is emitted per (pair, passing rule)."""
-    rl = rules if rules is not None else [(sim, threshold)]
+def broadcast_verify_batch(batch: pa.Table, *, toks_ref, sim: str,
+                           threshold: float) -> pa.Table:
+    """Stateless verify task over ``{id1, id2}`` candidate batches: token
+    index fetched once per worker process (get_broadcast; zero-copy plasma)
+    — no actor-pool CPU reservation.  The original Arrow id columns are
+    filtered, so id types (string / int64 / ...) pass through unchanged."""
     index, vals, offs, m = get_broadcast(toks_ref)
     ids1 = batch.column("id1").to_numpy(zero_copy_only=False)
     ids2 = batch.column("id2").to_numpy(zero_copy_only=False)
@@ -231,32 +175,20 @@ def broadcast_verify_batch(
     ok = (r1 >= 0) & (r2 >= 0)
     r1, r2 = r1[ok], r2[ok]
     ovlp = overlap_auto(vals, offs, m, r1, r2)
-    la = np.diff(offs)[r1]
-    lb = np.diff(offs)[r2]
-    sims_keeps = []
-    for s_name, thr in rl:
-        s = ovlp.astype(np.float64) if s_name == "overlap" else S.set_sims_from_overlap(ovlp, la, lb, s_name)
-        sims_keeps.append((s, s >= thr))
-    return _emit_rule_rows(ids1, ids2, ok, sims_keeps, canonicalize_output, batch)
+    lens = np.diff(offs)
+    s = _rule_sim(ovlp, lens[r1], lens[r2], sim)
+    keep = s >= threshold
+    mask = ok.copy()
+    mask[ok] = keep
+    out = batch.select(["id1", "id2"]).filter(pa.array(mask))
+    return out.append_column("sim", pa.array(s[keep], type=pa.float64()))
 
 
-def _verify_joined(batch: pa.Table, sim: str | None = None,
-                   threshold: float | None = None,
-                   canonicalize_output: bool = False,
-                   rules: list[tuple[str, float]] | None = None) -> pa.Table:
-    rl = rules if rules is not None else [(sim, threshold)]
-    va, oa = S.flatten_lists(batch.column("toks1"))
-    vb, ob = S.flatten_lists(batch.column("toks2"))
-    ovlp = S.pair_overlap(va, oa, vb, ob)
-    la, lb = np.diff(oa), np.diff(ob)
-    ids1 = np.asarray(batch.column("id1").to_numpy(zero_copy_only=False), dtype=object)
-    ids2 = np.asarray(batch.column("id2").to_numpy(zero_copy_only=False), dtype=object)
-    ok = np.ones(ids1.size, bool)
-    sims_keeps = []
-    for s_name, thr in rl:
-        s = ovlp.astype(np.float64) if s_name == "overlap" else S.set_sims_from_overlap(ovlp, la, lb, s_name)
-        sims_keeps.append((s, s >= thr))
-    return _emit_rule_rows(ids1, ids2, ok, sims_keeps, canonicalize_output, batch)
+def _rule_sim(ovlp, la, lb, sim: str) -> np.ndarray:
+    """One rule's similarity from exact overlaps and set sizes."""
+    if sim == "overlap":
+        return ovlp.astype(np.float64)
+    return S.set_sims_from_overlap(ovlp, la, lb, sim)
 
 
 def _rename(ds, mapping):
@@ -273,36 +205,23 @@ def verify_pairs(
     pairs_ds: "ray.data.Dataset",
     toks_ds: "ray.data.Dataset",
     *,
-    sim: str | None,
-    threshold: float | None,
+    sim: str,
+    threshold: float,
     broadcast: bool = True,
     num_partitions: int = 64,
-    concurrency=None,
-    toks_ref=None,
-    canonicalize_output: bool = False,
-    rules: list[tuple[str, float]] | None = None,
-    shard_store: dict | None = None,
     store_dir: str | None = None,
-    store_fp: str | None = None,
 ) -> "ray.data.Dataset":
-    """Exact-verify candidate pairs; emits {id1, id2, sim} with sim >= threshold.
+    """Exact-verify ``{id1, id2}`` candidate pairs (minhash / sampler
+    surface); emits {id1, id2, sim} with sim >= threshold.
 
-    ``toks_ref`` may carry a pre-built ``ray.put(collect_token_index(...))``
-    so several rules over the same tokenization share ONE broadcast index.
-
-    ``rules``: fused multi-rule mode — one output row per (pair, passing
-    rule), overlap computed once (see broadcast_verify_batch).
-
-    ``shard_store`` / ``store_dir`` / ``store_fp``: beyond-broadcast path —
-    reuse or checkpoint the grid verify's token shard store (see
-    verify_pairs_sharded_from_ids)."""
+    Beyond the broadcast gate the pairs hash to the slim (k1, k2) form and
+    grid-verify against a token shard store built here; ``store_dir`` roots
+    that store (cluster storage at scale, see build_token_shard_store)."""
     if broadcast:
-        ref = toks_ref if toks_ref is not None else ray.put(collect_token_index(toks_ds))
+        ref = ray.put(collect_token_index(toks_ds))
         return pairs_ds.map_batches(
             broadcast_verify_batch,
-            fn_kwargs=dict(toks_ref=ref, sim=sim, threshold=threshold,
-                           canonicalize_output=canonicalize_output,
-                           rules=rules),
+            fn_kwargs=dict(toks_ref=ref, sim=sim, threshold=threshold),
             batch_format="pyarrow",
             # 8k pairs keeps per-batch gather temporaries under glibc's 32 MB
             # dynamic-mmap-reuse threshold: at 32-way concurrency the larger
@@ -311,11 +230,11 @@ def verify_pairs(
             # the bitmap kernel's run amortization is already saturated at 8k
             batch_size=8192,
         )
-    return verify_pairs_sharded_from_ids(
-        pairs_ds, toks_ds, sim=sim, threshold=threshold, rules=rules,
-        num_partitions=num_partitions, store=shard_store,
-        store_dir=store_dir, store_fp=store_fp,
-    )
+    store = build_token_shard_store(
+        toks_ds, num_shards=max(8, int(np.ceil(np.sqrt(num_partitions)))),
+        store_dir=store_dir)
+    return verify_pairs_sharded(slim_pairs(pairs_ds, canonical=True), store,
+                                sim=sim, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +244,46 @@ def verify_pairs(
 _IDH_INDEX_CACHE: dict = {}
 
 
+def _hashed_ids(index: "pd.Index"):
+    """(object ids, unique id-hash Index) of one side of a verify index."""
+    from ..functions.hashing import hash_strings
+
+    ids = np.asarray(index.to_numpy(), dtype=object)
+    hidx = pd.Index(hash_strings(ids))
+    if not hidx.is_unique:
+        raise RuntimeError(
+            "64-bit id-hash collision in verify index; the blocking "
+            "pipeline's hash-keyed dedup is unsound for this id set"
+        )
+    return ids, hidx
+
+
 def _idh_token_index(toks_ref):
-    """Per-worker cache deriving a 64-bit-id-hash-keyed view of the broadcast
-    token index: int64 ``Index.get_indexer`` runs the vectorized integer hash
-    path (~5x faster than object-string lookups), and candidate pairs can be
-    shuffled as 16-byte (k1, k2) rows with id strings materialized only for
+    """Per-worker cache deriving a 64-bit-id-hash-keyed TWO-SIDED view of a
+    broadcast token index: ``(ha, ids_a, va, oa, hb, ids_b, vb, ob, m,
+    self_join)``.  An RS index (collect_token_index_rs) hashes each side; a
+    self index (collect_token_index) is its own B side — the same arrays,
+    hashed once.
+
+    int64 ``Index.get_indexer`` runs the vectorized integer hash path (~5x
+    faster than object-string lookups), and candidate pairs can be shuffled
+    as 16-byte (k1, k2) rows with id strings materialized only for
     survivors.  Uniqueness of the id hashes is asserted — the pair pipeline
     already keys dedup and self-pair exclusion on them (blocking._pairgen),
     so a collision would corrupt results upstream of this stage anyway."""
-    from ..functions.hashing import hash_strings
-
     key = toks_ref.hex() if hasattr(toks_ref, "hex") else id(toks_ref)
     got = _IDH_INDEX_CACHE.get(key)
     if got is None:
-        index, vals, offs, m = get_broadcast(toks_ref)
-        ids = np.asarray(index.to_numpy(), dtype=object)
-        hidx = pd.Index(hash_strings(ids))
-        if not hidx.is_unique:
-            raise RuntimeError(
-                "64-bit id-hash collision in verify index; the blocking "
-                "pipeline's hash-keyed dedup is unsound for this id set"
-            )
-        got = (hidx, ids, vals, offs, m)
+        idx = get_broadcast(toks_ref)
+        self_join = len(idx) == 4
+        if self_join:
+            index_a, va, oa, m = idx
+            index_b, vb, ob = index_a, va, oa
+        else:
+            index_a, va, oa, index_b, vb, ob, m = idx
+        ids_a, ha = _hashed_ids(index_a)
+        ids_b, hb = (ids_a, ha) if self_join else _hashed_ids(index_b)
+        got = (ha, ids_a, va, oa, hb, ids_b, vb, ob, m, self_join)
         # bounded FIFO: a long session running many joins must not pin every
         # past join's id/token arrays in every worker forever
         while len(_IDH_INDEX_CACHE) >= 4:
@@ -365,13 +302,13 @@ _EMPTY_RULE_ROWS = pa.table({
 def hash_verify_rules(k1: np.ndarray, k2: np.ndarray, toks_ref,
                       rules: list[tuple[str, float]],
                       chunk: int = 16384) -> pa.Table:
-    """Verify (k1, k2) id-hash pairs INLINE (inside the pair-generation task):
-    emits lex-canonicalized {id1, id2, sim, rule, k1, k2} — one row per
-    (pair, passing rule), keys + rule index kept so the (tiny) survivor set
-    can be globally deduped per (pair, rule) afterwards.  Used when the token
-    index is broadcast: verifying locally-deduped candidates at the source
-    costs ~multiplicity x unique-verify CPU but removes the all-candidate
-    shuffle entirely (59M rows -> ~10^5 survivor rows at sf0.1).
+    """Verify (k1, k2) id-hash pairs against a broadcast token index (self
+    or RS, see _idh_token_index); emits {id1, id2, sim, rule, k1, k2} — one
+    row per (pair, passing rule), keys + rule index kept for survivor-level
+    bookkeeping.  Self-join ids are lex-canonicalized; RS pairs keep their
+    (A, B) order.  Verifying pre-deduped slim candidates streamed off pair
+    generation removes the all-candidate shuffle of id-carrying rows
+    (59M rows -> ~10^5 survivor rows at sf0.1).
 
     Processed in ``chunk``-sized slices so the partner-token gather
     temporaries stay bounded regardless of bucket size."""
@@ -380,27 +317,27 @@ def hash_verify_rules(k1: np.ndarray, k2: np.ndarray, toks_ref,
                                    rules, chunk=chunk)
                  for i in range(0, k1.size, chunk)]
         return pa.concat_tables(parts)
-    hidx, all_ids, vals, offs, m = _idh_token_index(toks_ref)
-    r1 = hidx.get_indexer(k1)
-    r2 = hidx.get_indexer(k2)
+    ha, ids_a, va, oa, hb, ids_b, vb, ob, m, self_join = _idh_token_index(toks_ref)
+    r1 = ha.get_indexer(k1)
+    r2 = hb.get_indexer(k2)
     ok = (r1 >= 0) & (r2 >= 0)
     r1, r2 = r1[ok], r2[ok]
     k1, k2 = k1[ok], k2[ok]
-    ovlp = overlap_auto(vals, offs, m, r1, r2)
-    lens = np.diff(offs)
-    la, lb = lens[r1], lens[r2]
+    ovlp = overlap_auto_two(va, oa, vb, ob, m, r1, r2)
+    la, lb = np.diff(oa)[r1], np.diff(ob)[r2]
     p1, p2, ps, pr, pk1, pk2 = [], [], [], [], [], []
     for ri, (s_name, thr) in enumerate(rules):
-        s = (ovlp.astype(np.float64) if s_name == "overlap"
-             else S.set_sims_from_overlap(ovlp, la, lb, s_name))
+        s = _rule_sim(ovlp, la, lb, s_name)
         keep = s >= thr
         if not keep.any():
             continue
-        a = all_ids[r1[keep]].astype("U")
-        b = all_ids[r2[keep]].astype("U")
-        swap = a > b
-        p1.append(np.where(swap, b, a))
-        p2.append(np.where(swap, a, b))
+        a = ids_a[r1[keep]].astype("U")
+        b = ids_b[r2[keep]].astype("U")
+        if self_join:
+            swap = a > b
+            a, b = np.where(swap, b, a), np.where(swap, a, b)
+        p1.append(a)
+        p2.append(b)
         ps.append(s[keep])
         pr.append(np.full(int(keep.sum()), ri, np.int32))
         pk1.append(k1[keep])
@@ -429,7 +366,7 @@ def hash_verify_rules_batch(batch: pa.Table, *, toks_ref,
 
 
 # ---------------------------------------------------------------------------
-# RS (two-table) verification
+# RS (two-table) broadcast index
 # ---------------------------------------------------------------------------
 
 
@@ -446,7 +383,7 @@ def _ids_and_toks(tbl: pa.Table):
 
 def collect_token_index_rs(toks_a: "ray.data.Dataset", toks_b: "ray.data.Dataset"):
     """Two-table broadcast index: both sides' token hashes relabeled into ONE
-    dense space so the fused-key kernel works across tables."""
+    dense space so the bitmap kernel works across tables."""
     return collect_token_index_rs_with_df(toks_a, toks_b)[0]
 
 
@@ -473,143 +410,12 @@ def collect_token_index_rs_with_df(toks_a: "ray.data.Dataset",
             (uni[keep], counts[keep].astype(np.int64)))
 
 
-def broadcast_verify_rs_batch(batch: pa.Table, *, toks_ref, sim: str, threshold: float) -> pa.Table:
-    index_a, vals_a, offs_a, index_b, vals_b, offs_b, m = get_broadcast(toks_ref)
-    ids1 = batch.column("id1").to_numpy(zero_copy_only=False)
-    ids2 = batch.column("id2").to_numpy(zero_copy_only=False)
-    r1 = index_a.get_indexer(ids1)
-    r2 = index_b.get_indexer(ids2)
-    ok = (r1 >= 0) & (r2 >= 0)
-    r1, r2 = r1[ok], r2[ok]
-    ovlp = overlap_auto_two(vals_a, offs_a, vals_b, offs_b, m, r1, r2)
-    la = np.diff(offs_a)[r1]
-    lb = np.diff(offs_b)[r2]
-    s = ovlp.astype(np.float64) if sim == "overlap" else S.set_sims_from_overlap(ovlp, la, lb, sim)
-    keep = s >= threshold
-    mask = ok.copy()
-    mask[ok] = keep
-    out = batch.select(["id1", "id2"]).filter(pa.array(mask))
-    return out.append_column("sim", pa.array(s[keep], type=pa.float64()))
-
-
-_IDH_INDEX_RS_CACHE: dict = {}
-
-
-def _idh_token_index_rs(toks_ref):
-    """Per-worker 64-bit-id-hash-keyed view of the two-sided RS broadcast
-    index (A-side and B-side hashed separately; same uniqueness contract as
-    _idh_token_index)."""
-    from ..functions.hashing import hash_strings
-
-    key = toks_ref.hex() if hasattr(toks_ref, "hex") else id(toks_ref)
-    got = _IDH_INDEX_RS_CACHE.get(key)
-    if got is None:
-        index_a, va, oa, index_b, vb, ob, m = get_broadcast(toks_ref)
-        ids_a = np.asarray(index_a.to_numpy(), dtype=object)
-        ids_b = np.asarray(index_b.to_numpy(), dtype=object)
-        ha = pd.Index(hash_strings(ids_a))
-        hb = pd.Index(hash_strings(ids_b))
-        if not (ha.is_unique and hb.is_unique):
-            raise RuntimeError("64-bit id-hash collision in RS verify index")
-        got = (ha, ids_a, va, oa, hb, ids_b, vb, ob, m)
-        while len(_IDH_INDEX_RS_CACHE) >= 4:  # bounded FIFO (see above)
-            _IDH_INDEX_RS_CACHE.pop(next(iter(_IDH_INDEX_RS_CACHE)))
-        _IDH_INDEX_RS_CACHE[key] = got
-    return got
-
-
-def hash_verify_rules_rs(k1: np.ndarray, k2: np.ndarray, toks_ref,
-                         rules: list[tuple[str, float]],
-                         chunk: int = 16384) -> pa.Table:
-    """RS counterpart of hash_verify_rules: (k1 = hash of A id, k2 = hash of
-    B id) pairs verified inline against the two-sided broadcast index; emits
-    {id1, id2, sim, rule, k1, k2} in (A, B) order — no canonicalization
-    across tables."""
-    if k1.size > chunk:
-        parts = [hash_verify_rules_rs(k1[i:i + chunk], k2[i:i + chunk],
-                                      toks_ref, rules, chunk=chunk)
-                 for i in range(0, k1.size, chunk)]
-        return pa.concat_tables(parts)
-    ha, ids_a, va, oa, hb, ids_b, vb, ob, m = _idh_token_index_rs(toks_ref)
-    r1 = ha.get_indexer(k1)
-    r2 = hb.get_indexer(k2)
-    ok = (r1 >= 0) & (r2 >= 0)
-    r1, r2 = r1[ok], r2[ok]
-    k1, k2 = k1[ok], k2[ok]
-    ovlp = overlap_auto_two(va, oa, vb, ob, m, r1, r2)
-    la = np.diff(oa)[r1]
-    lb = np.diff(ob)[r2]
-    p1, p2, ps, pr, pk1, pk2 = [], [], [], [], [], []
-    for ri, (s_name, thr) in enumerate(rules):
-        s = (ovlp.astype(np.float64) if s_name == "overlap"
-             else S.set_sims_from_overlap(ovlp, la, lb, s_name))
-        keep = s >= thr
-        if not keep.any():
-            continue
-        p1.append(ids_a[r1[keep]].astype("U"))
-        p2.append(ids_b[r2[keep]].astype("U"))
-        ps.append(s[keep])
-        pr.append(np.full(int(keep.sum()), ri, np.int32))
-        pk1.append(k1[keep])
-        pk2.append(k2[keep])
-    if not p1:
-        return _EMPTY_RULE_ROWS
-    return pa.table({
-        "id1": pa.array(np.concatenate(p1), pa.string()),
-        "id2": pa.array(np.concatenate(p2), pa.string()),
-        "sim": pa.array(np.concatenate(ps), pa.float64()),
-        "rule": pa.array(np.concatenate(pr), pa.int32()),
-        "k1": pa.array(np.concatenate(pk1), pa.int64()),
-        "k2": pa.array(np.concatenate(pk2), pa.int64()),
-    })
-
-
-def hash_verify_rules_rs_batch(batch: pa.Table, *, toks_ref,
-                               rules: list[tuple[str, float]]) -> pa.Table:
-    """map_batches wrapper of hash_verify_rules_rs over slim {k1, k2}
-    candidate batches (streams off RS pair generation, balanced verify)."""
-    k1 = np.asarray(batch.column("k1"), dtype=np.int64)
-    k2 = np.asarray(batch.column("k2"), dtype=np.int64)
-    return hash_verify_rules_rs(k1, k2, toks_ref, rules)
-
-
-def verify_pairs_rs(
-    pairs_ds: "ray.data.Dataset",
-    toks_a: "ray.data.Dataset",
-    toks_b: "ray.data.Dataset",
-    *,
-    sim: str,
-    threshold: float,
-    broadcast: bool = True,
-    num_partitions: int = 64,
-    toks_ref=None,
-    shard_store: dict | None = None,
-    shard_store_b: dict | None = None,
-    store_dir: str | None = None,
-    store_fp: str | None = None,
-) -> "ray.data.Dataset":
-    """Exact-verify RS candidate pairs (id1 from A, id2 from B)."""
-    if broadcast:
-        ref = toks_ref if toks_ref is not None else ray.put(collect_token_index_rs(toks_a, toks_b))
-        return pairs_ds.map_batches(
-            broadcast_verify_rs_batch,
-            fn_kwargs=dict(toks_ref=ref, sim=sim, threshold=threshold),
-            batch_format="pyarrow",
-            batch_size=8192,
-        )
-    return verify_pairs_sharded_from_ids(
-        pairs_ds, toks_a, toks_b=toks_b, sim=sim, threshold=threshold,
-        num_partitions=num_partitions, store=shard_store,
-        store_b=shard_store_b, store_dir=store_dir, store_fp=store_fp,
-    )
-
-
 # ---------------------------------------------------------------------------
-# sharded-index grid verify (the beyond-broadcast scale path for the
-# set-similarity blocking family)
+# sharded-index grid verify (the beyond-broadcast scale path of every exact
+# verify: set-sim, IDF-weighted and value/edit-distance kernels)
 # ---------------------------------------------------------------------------
 #
-# Why not the demand semi-join above?  Measured at sf0.1, the fused
+# Why not the demand semi-join (joins.py)?  Measured at sf0.1, the fused
 # jac+cos rule pair emits ~59.5M raw candidates over 50k records (~1,190
 # partners/record on dup-dense data), so "ship each record's token list once
 # per needing bucket" degenerates: nearly every record is needed by nearly
@@ -623,8 +429,9 @@ def verify_pairs_rs(
 #   2. slim 16-byte (k1, k2) candidates shuffle ONCE to grid cell
 #      (shard(k1), shard(k2));
 #   3. each cell task reads just its two shards (column-pruned Parquet read,
-#      cached per worker) and runs the same dense-relabel + bitmap-run
-#      overlap kernel as the broadcast path.
+#      cached per worker) and runs the kernel's similarity (GridKernel) —
+#      for set-sim the same dense-relabel + bitmap-run overlap kernel as the
+#      broadcast path.
 #
 # A cell task touches exactly two shards; decoded shards are cached per
 # worker process under a BYTE budget (_SHARD_CACHE_BYTES, default 1 GiB,
@@ -797,9 +604,8 @@ def build_token_shard_store(
 
     ``payload_col`` names the per-record payload: the default ``toks``
     (list<int64> token sets, decoded by ``_load_shard`` for the set-sim
-    grid) or any other column — the value-payload grid
-    (``verify_pairs_sharded_values``) stores a string column and decodes it
-    with ``_load_value_shard``.
+    grid) or any other column — the edit joins' value grid stores a string
+    column and decodes it with ``_load_value_shard``.
 
     Map-only (no shuffle): each task routes its rows and the Parquet writer
     splits them into the shard=N directories.  The id hash is the same
@@ -1105,33 +911,44 @@ def _empty_verified(id1_type, id2_type) -> pa.Table:
     })
 
 
-def verify_pairs_sharded(
-    pairs_ds: "ray.data.Dataset",
-    store: dict,
-    *,
-    sim: str | None = None,
-    threshold: float | None = None,
-    rules: list[tuple[str, float]] | None = None,
-    store_b: dict | None = None,
-) -> "ray.data.Dataset":
+class GridKernel(NamedTuple):
+    """A grid-verify similarity: ``load(store, shard)`` decodes a shard
+    (``_load_shard`` or ``_load_value_shard``); ``verify(sh1, r1, sh2, r2)
+    -> (rows, sim)`` scores the cell's pairs ``(sh1 row r1[i], sh2 row
+    r2[i])`` and returns the passing pair indices ``rows`` (into r1/r2; a
+    pair repeats once per passing rule) with their float64 ``sim``.  In
+    self mode a cell whose two keys hash to one shard gets ``sh2 is sh1``."""
+
+    load: Callable
+    verify: Callable
+
+
+def grid_verify(pairs_ds: "ray.data.Dataset", store: dict,
+                cell_kernel: GridKernel, *,
+                store_b: dict | None = None) -> "ray.data.Dataset":
     """Grid-verify slim ``(k1, k2)`` id-hash candidate pairs against a
-    sharded token store; emits globally-deduped ``{id1, id2, sim}`` — one
-    row per (pair, passing rule), self-join ids lex-canonicalized.
+    shard store with a pluggable per-cell similarity; emits globally-deduped
+    ``{id1, id2, sim}`` rows, self-join ids lex-canonicalized.
 
     ``store_b``: RS mode — k1 resolves in ``store`` (table A), k2 in
-    ``store_b`` (table B); ids keep (A, B) order."""
+    ``store_b`` (table B); ids keep (A, B) order.  Output id dtypes follow
+    the stores' conv_id dtypes.  Keys absent from their shard are dropped.
+
+    Every duplicate of a candidate lands in the same (shard(k1), shard(k2))
+    cell, so the cell-local (k1, k2) dedup is globally exact and no
+    pre-verify or survivor dedup shuffle is needed."""
     from ..functions.hashing import bucket_of
 
-    rl = rules if rules is not None else [(sim, threshold)]
     n_shards = store["num_shards"]
     if n_shards > 46_340:  # sqrt(2^31): the int32 cell id would overflow
         raise ValueError(f"verify grid supports at most 46340 shards, got {n_shards}")
     rs = store_b is not None
     if rs and store_b["num_shards"] != n_shards:
         raise ValueError("RS verify requires equal shard counts")
-    id1_t = store["id_type"]
-    id2_t = (store_b if rs else store)["id_type"]
+    store2 = store_b if rs else store
+    id1_t, id2_t = store["id_type"], store2["id_type"]
     empty = _empty_verified(id1_t, id2_t)
+    load, kernel = cell_kernel
 
     def add_cell(t: pa.Table) -> pa.Table:
         k1 = np.asarray(t.column("k1"), dtype=np.int64)
@@ -1157,17 +974,41 @@ def verify_pairs_sharded(
         first = np.ones(k1.size, bool)
         first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
         k1, k2 = k1[first], k2[first]
-        sh1 = _load_shard(store, s1)
-        same = not rs and s2 == s1
-        sh2 = sh1 if same else _load_shard(store_b if rs else store, s2)
+        sh1 = load(store, s1)
+        sh2 = sh1 if not rs and s2 == s1 else load(store2, s2)
         r1 = sh1.idx.get_indexer(k1)
         r2 = sh2.idx.get_indexer(k2)
         ok = (r1 >= 0) & (r2 >= 0)
         r1, r2 = r1[ok], r2[ok]
         if r1.size == 0:
             return empty
+        rows, sim = kernel(sh1, r1, sh2, r2)
+        if rows.size == 0:
+            return empty
+        a = sh1.ids[r1[rows]]
+        b = sh2.ids[r2[rows]]
+        if not rs:
+            swap = a > b
+            a, b = np.where(swap, b, a), np.where(swap, a, b)
+        return pa.table({
+            "id1": pa.array(a, id1_t),
+            "id2": pa.array(b, id2_t),
+            "sim": pa.array(sim, pa.float64()),
+        })
+
+    return (pairs_ds.select_columns(["k1", "k2"])
+            .map_batches(add_cell, batch_format="pyarrow")
+            .groupby("cell")
+            .map_groups(verify_cell, batch_format="pyarrow"))
+
+
+def _setsim_cell(rules: list[tuple[str, float]]):
+    """Set-sim grid kernel: the broadcast path's bitmap overlap over the
+    cell's two token shards, computed once per pair for all ``rules``."""
+
+    def verify(sh1: _Shard, r1, sh2: _Shard, r2):
         offs1 = sh1.offs
-        if same:
+        if sh2 is sh1:
             vals_all, offs_all, R2 = sh1.labels, offs1, r2
             m = sh1.uni.size + 1
         else:
@@ -1187,175 +1028,49 @@ def verify_pairs_sharded(
         ovlp = overlap_auto(vals_all, offs_all, m, r1, R2)
         lens = np.diff(offs_all)
         la, lb = lens[r1], lens[R2]
-        a_ids = sh1.ids[r1]
-        b_ids = sh2.ids[r2]
-        p1, p2, ps = [], [], []
-        for s_name, thr in rl:
-            s = (ovlp.astype(np.float64) if s_name == "overlap"
-                 else S.set_sims_from_overlap(ovlp, la, lb, s_name))
+        rows, sims = [], []
+        for s_name, thr in rules:
+            s = _rule_sim(ovlp, la, lb, s_name)
             keep = s >= thr
-            if not keep.any():
-                continue
-            a, b = a_ids[keep], b_ids[keep]
-            if not rs:
-                swap = a > b
-                a, b = np.where(swap, b, a), np.where(swap, a, b)
-            p1.append(a)
-            p2.append(b)
-            ps.append(s[keep])
-        if not p1:
-            return empty
-        return pa.table({
-            "id1": pa.array(np.concatenate(p1), id1_t),
-            "id2": pa.array(np.concatenate(p2), id2_t),
-            "sim": pa.array(np.concatenate(ps), pa.float64()),
-        })
+            rows.append(np.flatnonzero(keep))
+            sims.append(s[keep])
+        return np.concatenate(rows), np.concatenate(sims)
 
-    return (pairs_ds.select_columns(["k1", "k2"])
-            .map_batches(add_cell, batch_format="pyarrow")
-            .groupby("cell")
-            .map_groups(verify_cell, batch_format="pyarrow"))
+    return GridKernel(_load_shard, verify)
 
 
-def verify_pairs_sharded_values(
+def verify_pairs_sharded(
     pairs_ds: "ray.data.Dataset",
     store: dict,
-    kernel,
-    *,
-    store_b: dict | None = None,
-    kernel_kwargs: dict | None = None,
-) -> "ray.data.Dataset":
-    """Grid-verify slim ``(k1, k2)`` id-hash pairs against VALUE shard
-    stores (string payloads) with an arbitrary pairwise ``kernel``:
-    ``kernel(vals_a, vals_b, **kernel_kwargs) -> (sim float64, keep bool)``
-    over aligned per-pair payload arrays.  Emits globally-deduped
-    ``{id1, id2, sim}`` — duplicate candidates co-locate per cell, so the
-    cell-local dedup is globally exact; self-join ids lex-canonicalize.
-
-    This is the beyond-broadcast plan for verifies whose state is a
-    per-record SCALAR payload rather than a token set (edit-distance's
-    value strings): one slim pair shuffle, two worker-cached shard reads
-    per cell, no payload broadcast and no per-side hash join.
-
-    Output id dtype follows the STORE's conv_id dtype (same contract as
-    ``verify_pairs_sharded``); callers whose broadcast plan stringifies
-    ids must build the store from the same stringified projection (the
-    edit joins do, via ``_proj``) so the two plans stay output-identical."""
-    from ..functions.hashing import bucket_of
-
-    kk = kernel_kwargs or {}
-    n_shards = store["num_shards"]
-    if n_shards > 46_340:  # sqrt(2^31): the int32 cell id would overflow
-        raise ValueError(f"verify grid supports at most 46340 shards, got {n_shards}")
-    rs = store_b is not None
-    if rs and store_b["num_shards"] != n_shards:
-        raise ValueError("RS verify requires equal shard counts")
-    id1_t = store["id_type"]
-    id2_t = (store_b if rs else store)["id_type"]
-    empty = _empty_verified(id1_t, id2_t)
-
-    def add_cell(t: pa.Table) -> pa.Table:
-        k1 = np.asarray(t.column("k1"), dtype=np.int64)
-        k2 = np.asarray(t.column("k2"), dtype=np.int64)
-        cell = bucket_of(k1, n_shards) * n_shards + bucket_of(k2, n_shards)
-        return pa.table({
-            "cell": pa.array(cell.astype(np.int32), pa.int32()),
-            "k1": pa.array(k1, pa.int64()),
-            "k2": pa.array(k2, pa.int64()),
-        })
-
-    def verify_cell(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        cell = int(t.column("cell")[0].as_py())
-        s1, s2 = cell // n_shards, cell % n_shards
-        k1 = np.asarray(t.column("k1"), dtype=np.int64)
-        k2 = np.asarray(t.column("k2"), dtype=np.int64)
-        order = np.lexsort((k2, k1))
-        k1, k2 = k1[order], k2[order]
-        first = np.ones(k1.size, bool)
-        first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
-        k1, k2 = k1[first], k2[first]
-        sh1 = _load_value_shard(store, s1)
-        same = not rs and s2 == s1
-        sh2 = sh1 if same else _load_value_shard(store_b if rs else store, s2)
-        r1 = sh1.idx.get_indexer(k1)
-        r2 = sh2.idx.get_indexer(k2)
-        ok = (r1 >= 0) & (r2 >= 0)
-        r1, r2 = r1[ok], r2[ok]
-        if r1.size == 0:
-            return empty
-        sim, keep = kernel(sh1.vals[r1], sh2.vals[r2], **kk)
-        if not keep.any():
-            return empty
-        a = sh1.ids[r1[keep]]
-        b = sh2.ids[r2[keep]]
-        if not rs:
-            swap = a > b
-            a, b = np.where(swap, b, a), np.where(swap, a, b)
-        return pa.table({
-            "id1": pa.array(a, id1_t),
-            "id2": pa.array(b, id2_t),
-            "sim": pa.array(np.asarray(sim, np.float64)[keep], pa.float64()),
-        })
-
-    return (pairs_ds.select_columns(["k1", "k2"])
-            .map_batches(add_cell, batch_format="pyarrow")
-            .groupby("cell")
-            .map_groups(verify_cell, batch_format="pyarrow"))
-
-
-def verify_pairs_sharded_from_ids(
-    pairs_ds: "ray.data.Dataset",
-    toks_ds: "ray.data.Dataset",
     *,
     sim: str | None = None,
     threshold: float | None = None,
     rules: list[tuple[str, float]] | None = None,
-    num_partitions: int = 64,
-    toks_b: "ray.data.Dataset | None" = None,
-    store: dict | None = None,
     store_b: dict | None = None,
-    store_dir: str | None = None,
-    store_fp: str | None = None,
 ) -> "ray.data.Dataset":
-    """Grid-verify ``{id1, id2}`` STRING candidate pairs (minhash/sampler
-    surface): hash ids to the slim (k1, k2) form, build the shard store(s)
-    from the token dataset(s), and run ``verify_pairs_sharded``.  Self mode
-    hash-orders the pair (the grid cell must be deterministic per pair);
-    the verify re-canonicalizes output ids lexicographically.
+    """Set-sim grid verify (see grid_verify) of slim ``(k1, k2)`` pairs
+    against a token shard store: one row per (pair, passing rule), either
+    the single ``sim``/``threshold`` rule or the fused ``rules``."""
+    rl = rules if rules is not None else [(sim, threshold)]
+    return grid_verify(pairs_ds, store, _setsim_cell(rl), store_b=store_b)
 
-    ``store``/``store_b`` reuse an existing shard store for the same token
-    dataset(s); ``store_dir``/``store_fp`` make the store(s) built here a
-    resumable checkpoint (see build_token_shard_store)."""
+
+def slim_pairs(pairs_ds: "ray.data.Dataset", *, canonical: bool) -> "ray.data.Dataset":
+    """``{id1, id2}`` string-id pairs -> slim ``{k1, k2}`` id-hash pairs for
+    grid_verify.  ``canonical`` (self joins) hash-orders each pair so its
+    grid cell is deterministic; the verify re-canonicalizes output ids
+    lexicographically.  RS pairs keep their (A, B) order."""
     from ..functions.hashing import hash_strings
-
-    rs = toks_b is not None
-    n_shards = (store["num_shards"] if store is not None
-                else max(8, int(np.ceil(np.sqrt(num_partitions)))))
-    if store is None:
-        store = build_token_shard_store(
-            toks_ds, num_shards=n_shards, store_dir=store_dir, fp=store_fp)
-    if rs and store_b is None:
-        store_b = build_token_shard_store(
-            toks_b, num_shards=n_shards, store_dir=store_dir,
-            fp=None if store_fp is None else store_fp + "_b")
-    if not rs:
-        store_b = None
 
     def slim(t: pa.Table) -> pa.Table:
         i1 = hash_strings(np.asarray(
             t.column("id1").to_numpy(zero_copy_only=False), dtype=object))
         i2 = hash_strings(np.asarray(
             t.column("id2").to_numpy(zero_copy_only=False), dtype=object))
-        if rs:
-            k1, k2 = i1, i2
-        else:
-            k1, k2 = np.minimum(i1, i2), np.maximum(i1, i2)
-        return pa.table({"k1": pa.array(k1, pa.int64()),
-                         "k2": pa.array(k2, pa.int64())})
+        if canonical:
+            i1, i2 = np.minimum(i1, i2), np.maximum(i1, i2)
+        return pa.table({"k1": pa.array(i1, pa.int64()),
+                         "k2": pa.array(i2, pa.int64())})
 
-    slimmed = pairs_ds.select_columns(["id1", "id2"]).map_batches(
+    return pairs_ds.select_columns(["id1", "id2"]).map_batches(
         slim, batch_format="pyarrow")
-    return verify_pairs_sharded(slimmed, store, sim=sim, threshold=threshold,
-                                rules=rules, store_b=store_b)

@@ -282,27 +282,33 @@ def _pairgen_weighted(
     )
 
 
-def _verify_weighted(batch: pa.Table, *, toks_ref, wt_ref, sim, threshold, round_to) -> pa.Table:
-    from .verify import gather_lists
-
-    index, vals, offs, m = get_broadcast(toks_ref)
-    wt_toks, wt_vals, default_wt = get_broadcast(wt_ref)
-    ids1 = np.asarray(batch.column("id1").to_numpy(zero_copy_only=False), dtype=object)
-    ids2 = np.asarray(batch.column("id2").to_numpy(zero_copy_only=False), dtype=object)
-    r1 = index.get_indexer(ids1)
-    r2 = index.get_indexer(ids2)
-    ok = (r1 >= 0) & (r2 >= 0)
-    r1, r2 = r1[ok], r2[ok]
-    va, oa = gather_lists(vals, offs, r1)
-    vb, ob = gather_lists(vals, offs, r2)
-    # NOTE: vals here are the ORIGINAL token hashes (no dense relabel) so the
-    # weight lookup works — see weighted_token_index below.
+def _weighted_sims(va, oa, vb, ob, wt, sim: str, round_to) -> np.ndarray:
+    """Weighted sim of aligned (A_i, B_i) token lists (ORIGINAL token
+    hashes, so the IDF weight lookup works) under the ``wt`` wordwt table."""
+    wt_toks, wt_vals, default_wt = wt
     ovlp_w = S.pair_weighted_overlap(va, oa, vb, ob, wt_toks, wt_vals, default_wt)
     wa = S.record_weights(va, oa, wt_toks, wt_vals, default_wt)
     wb = S.record_weights(vb, ob, wt_toks, wt_vals, default_wt)
     s = S.weighted_set_sims(ovlp_w, wa, wb, sim)
-    if round_to is not None:
-        s = np.round(s, round_to)
+    return np.round(s, round_to) if round_to is not None else s
+
+
+def _verify_weighted(batch: pa.Table, *, toks_ref, wt_ref, sim, threshold,
+                     round_to) -> pa.Table:
+    """Broadcast weighted verify of ``{id1, id2}`` batches against a
+    two-sided weighted_token_index (id1 looks up side A, id2 side B)."""
+    from .verify import gather_lists
+
+    (index_a, vals_a, offs_a), (index_b, vals_b, offs_b) = get_broadcast(toks_ref)
+    ids1 = np.asarray(batch.column("id1").to_numpy(zero_copy_only=False), dtype=object)
+    ids2 = np.asarray(batch.column("id2").to_numpy(zero_copy_only=False), dtype=object)
+    r1 = index_a.get_indexer(ids1)
+    r2 = index_b.get_indexer(ids2)
+    ok = (r1 >= 0) & (r2 >= 0)
+    r1, r2 = r1[ok], r2[ok]
+    s = _weighted_sims(*gather_lists(vals_a, offs_a, r1),
+                       *gather_lists(vals_b, offs_b, r2),
+                       get_broadcast(wt_ref), sim, round_to)
     keep = s >= threshold
     mask = ok.copy()
     mask[ok] = keep
@@ -310,15 +316,60 @@ def _verify_weighted(batch: pa.Table, *, toks_ref, wt_ref, sim, threshold, round
     return out.append_column("sim", pa.array(s[keep], pa.float64()))
 
 
+def _weighted_cell(*, wt_ref, sim, threshold, round_to):
+    """Weighted grid kernel (verify.grid_verify): shards keep the ORIGINAL
+    token hashes (``_Shard.vals``) next to the dense labels, so the IDF
+    weight lookup works exactly as on the broadcast index.  The wordwt
+    table stays broadcast state: the weighted SIGNATURE stage already
+    requires it on every worker, and it is vocabulary-sized, not
+    corpus-sized."""
+    from .verify import GridKernel, _load_shard, gather_lists
+
+    def verify(sh1, r1, sh2, r2):
+        s = _weighted_sims(*gather_lists(sh1.vals, sh1.offs, r1),
+                           *gather_lists(sh2.vals, sh2.offs, r2),
+                           get_broadcast(wt_ref), sim, round_to)
+        rows = np.flatnonzero(s >= threshold)
+        return rows, s[rows]
+
+    return GridKernel(_load_shard, verify)
+
+
 def weighted_token_index(toks_ds: "ray.data.Dataset"):
-    """Like verify.collect_token_index but WITHOUT dense relabeling (weights
-    are keyed by original token hashes)."""
+    """One side ``(pd.Index(ids), vals, offs)`` of the weighted verify
+    index — like verify.collect_token_index but WITHOUT dense relabeling
+    (weights are keyed by original token hashes).  The verify takes a
+    two-sided ``(side_a, side_b)`` pair; a self join passes (A, A)."""
     from .verify import collect_arrow
 
     tbl = collect_arrow(toks_ds.select_columns(["conv_id", "toks"]))
     ids = np.asarray(tbl.column("conv_id").to_numpy(zero_copy_only=False), dtype=object)
     vals, offs = S.flatten_lists(tbl.column("toks"))
-    return pd.Index(ids), vals, offs, None
+    return pd.Index(ids), vals, offs
+
+
+def _weighted_verify_stage(candidates, idx, toks_a, toks_b, *, wt_ref, sim,
+                           threshold, round_to, cfg: PipelineConfig):
+    """Broadcast-or-grid weighted verify of raw candidates (self join when
+    ``toks_b`` is None).  ``idx``: the (side_a, side_b) weighted_token_index
+    pair under the broadcast gate (candidates dedupe, then verify against it), else None —
+    slim (k1, k2) pairs grid-verify against token shard stores, where
+    duplicate candidates co-locate per cell and dedup exactly there."""
+    kw = dict(wt_ref=wt_ref, sim=sim, threshold=threshold, round_to=round_to)
+    if idx is not None:
+        return dedupe_pairs(candidates, cfg.pair_partitions).map_batches(
+            _verify_weighted, fn_kwargs=dict(kw, toks_ref=ray.put(idx)),
+            batch_format="pyarrow", batch_size=2048)
+    from .blocking import verify_shards
+    from .verify import build_token_shard_store, grid_verify
+
+    ns = verify_shards(cfg)
+    store_a = build_token_shard_store(toks_a, num_shards=ns,
+                                      store_dir=cfg.shard_store_dir)
+    store_b = None if toks_b is None else build_token_shard_store(
+        toks_b, num_shards=ns, store_dir=cfg.shard_store_dir)
+    return grid_verify(candidates, store_a, _weighted_cell(**kw),
+                       store_b=store_b)
 
 
 def setsim_self_join_weighted(
@@ -343,9 +394,10 @@ def setsim_self_join_weighted(
                                  cfg.broadcast_bytes_limit)
     idx = None
     if broadcast:
-        idx = weighted_token_index(toks_ds)  # one collect: index + df
+        side = weighted_token_index(toks_ds)  # one collect: index + df
+        idx = (side, side)
         if df_table is None:
-            uni, counts = np.unique(idx[1], return_counts=True)
+            uni, counts = np.unique(side[1], return_counts=True)
             keep = counts >= 2  # df=1 widow tokens can't be shared
             df_table = (uni[keep], counts[keep].astype(np.int64))
     elif df_table is None:
@@ -367,65 +419,9 @@ def setsim_self_join_weighted(
                    "alpha": _weight_ratio(sim, threshold)},
         batch_format="pyarrow",
     )
-    if broadcast:
-        candidates = dedupe_pairs(candidates, cfg.pair_partitions)
-        toks_ref = ray.put(idx)
-        return candidates.map_batches(
-            _verify_weighted,
-            fn_kwargs=dict(toks_ref=toks_ref, wt_ref=wt_ref, sim=sim,
-                           threshold=threshold, round_to=round_to),
-            batch_format="pyarrow",
-            batch_size=2048,
-        )
-    from .blocking import verify_shards
-    from .verify import build_token_shard_store
-
-    store = build_token_shard_store(toks_ds, num_shards=verify_shards(cfg),
-                                    store_dir=cfg.shard_store_dir)
-    return verify_pairs_sharded_weighted(
-        candidates, store, wt_ref, sim=sim, threshold=threshold,
-        round_to=round_to)
-
-
-def weighted_token_index_rs(toks_a: "ray.data.Dataset", toks_b: "ray.data.Dataset"):
-    """Two-sided weighted verify index (ORIGINAL token hashes — no dense
-    relabel — so the IDF weight lookup works on both sides)."""
-    from .verify import collect_arrow
-
-    ta = collect_arrow(toks_a.select_columns(["conv_id", "toks"]))
-    tb = collect_arrow(toks_b.select_columns(["conv_id", "toks"]))
-    ids_a = np.asarray(ta.column("conv_id").to_numpy(zero_copy_only=False), dtype=object)
-    ids_b = np.asarray(tb.column("conv_id").to_numpy(zero_copy_only=False), dtype=object)
-    va, oa = S.flatten_lists(ta.column("toks"))
-    vb, ob = S.flatten_lists(tb.column("toks"))
-    return pd.Index(ids_a), va, oa, pd.Index(ids_b), vb, ob
-
-
-def _verify_weighted_rs(batch: pa.Table, *, toks_ref, wt_ref, sim, threshold,
-                        round_to) -> pa.Table:
-    from .verify import gather_lists
-
-    index_a, vals_a, offs_a, index_b, vals_b, offs_b = get_broadcast(toks_ref)
-    wt_toks, wt_vals, default_wt = get_broadcast(wt_ref)
-    ids1 = np.asarray(batch.column("id1").to_numpy(zero_copy_only=False), dtype=object)
-    ids2 = np.asarray(batch.column("id2").to_numpy(zero_copy_only=False), dtype=object)
-    r1 = index_a.get_indexer(ids1)
-    r2 = index_b.get_indexer(ids2)
-    ok = (r1 >= 0) & (r2 >= 0)
-    r1, r2 = r1[ok], r2[ok]
-    va, oa = gather_lists(vals_a, offs_a, r1)
-    vb, ob = gather_lists(vals_b, offs_b, r2)
-    ovlp_w = S.pair_weighted_overlap(va, oa, vb, ob, wt_toks, wt_vals, default_wt)
-    wa = S.record_weights(va, oa, wt_toks, wt_vals, default_wt)
-    wb = S.record_weights(vb, ob, wt_toks, wt_vals, default_wt)
-    s = S.weighted_set_sims(ovlp_w, wa, wb, sim)
-    if round_to is not None:
-        s = np.round(s, round_to)
-    keep = s >= threshold
-    mask = ok.copy()
-    mask[ok] = keep
-    out = batch.select(["id1", "id2"]).filter(pa.array(mask))
-    return out.append_column("sim", pa.array(s[keep], pa.float64()))
+    return _weighted_verify_stage(
+        candidates, idx, toks_ds, None, wt_ref=wt_ref, sim=sim,
+        threshold=threshold, round_to=round_to, cfg=cfg)
 
 
 def setsim_rs_join_weighted(
@@ -446,11 +442,10 @@ def setsim_rs_join_weighted(
     Under the broadcast gate ONE driver collect feeds everything: the verify
     index and the df table (unique+counts over the already-deduped bags).
     Beyond it, the df pass runs distributed over A ∪ B and verification goes
-    through the sharded grid (verify_pairs_sharded_weighted) — only the
+    through the sharded grid (verify.grid_verify, _weighted_cell) — only the
     vocabulary-sized wordwt table stays broadcast, which the signature stage
     requires anyway."""
-    from .blocking import dedupe_pairs
-    from .verify import should_broadcast
+    from .verify import _hashed_ids, should_broadcast
 
     n = toks_a.count() + toks_b.count()
     try:
@@ -461,18 +456,14 @@ def setsim_rs_join_weighted(
                                  cfg.broadcast_bytes_limit, size_bytes=sz)
     idx = None
     if broadcast:
-        idx = weighted_token_index_rs(toks_a, toks_b)
-        index_a, va, oa, index_b, vb, ob = idx
+        idx = (weighted_token_index(toks_a), weighted_token_index(toks_b))
+        (index_a, va, oa), (index_b, vb, ob) = idx
         # candidate dedup downstream keys on 64-bit id hashes (dedupe_pairs
         # on k1/k2): a collision must fail LOUDLY like the hash-keyed verify
-        # paths (_idh_token_index_rs), not silently drop a genuine pair.
+        # path (verify._idh_token_index), not silently drop a genuine pair.
         # (The sharded path asserts the same per shard in _load_shard.)
-        ha = pd.Index(hash_strings(np.asarray(index_a.to_numpy(), dtype=object)))
-        hb = pd.Index(hash_strings(np.asarray(index_b.to_numpy(), dtype=object)))
-        if not (ha.is_unique and hb.is_unique):
-            raise RuntimeError(
-                "64-bit id-hash collision in weighted RS join index; the "
-                "hash-keyed pair dedup is unsound for this id set")
+        _hashed_ids(index_a)
+        _hashed_ids(index_b)
         uni, counts = np.unique(np.concatenate((va, vb)), return_counts=True)
         keep = counts >= 2  # df=1 widow tokens can't be shared
         df_table = (uni[keep], counts[keep].astype(np.int64))
@@ -498,121 +489,6 @@ def setsim_rs_join_weighted(
                    "alpha": _weight_ratio(sim, threshold), "rs": True},
         batch_format="pyarrow",
     )
-    if broadcast:
-        candidates = dedupe_pairs(candidates, cfg.pair_partitions)
-        toks_ref = ray.put(idx)
-        return candidates.map_batches(
-            _verify_weighted_rs,
-            fn_kwargs=dict(toks_ref=toks_ref, wt_ref=wt_ref, sim=sim,
-                           threshold=threshold, round_to=round_to),
-            batch_format="pyarrow",
-            batch_size=2048,
-        )
-    from .blocking import verify_shards
-    from .verify import build_token_shard_store
-
-    ns = verify_shards(cfg)
-    store_a = build_token_shard_store(toks_a, num_shards=ns,
-                                      store_dir=cfg.shard_store_dir)
-    store_b = build_token_shard_store(toks_b, num_shards=ns,
-                                      store_dir=cfg.shard_store_dir)
-    return verify_pairs_sharded_weighted(
-        candidates, store_a, wt_ref, sim=sim, threshold=threshold,
-        round_to=round_to, store_b=store_b)
-
-
-# ---------------------------------------------------------------------------
-# beyond-broadcast weighted verify (sharded grid)
-# ---------------------------------------------------------------------------
-
-
-def verify_pairs_sharded_weighted(
-    pairs_ds: "ray.data.Dataset",
-    store: dict,
-    wt_ref,
-    *,
-    sim: str,
-    threshold: float,
-    round_to: int | None,
-    store_b: dict | None = None,
-) -> "ray.data.Dataset":
-    """Weighted verify on the sharded-grid plan (verify.verify_pairs_sharded):
-    slim (k1, k2) candidates shuffle once to (shard(k1), shard(k2)) cells and
-    each cell reads its two token shards — the per-record token lists stop
-    being broadcast.  The wordwt table (``wt_ref``) stays broadcast state:
-    the weighted SIGNATURE stage already requires it on every worker, so the
-    verify adds no new scale assumption (it is df-derived and vocabulary-
-    sized, not corpus-sized).  Duplicate candidates co-locate per cell, so
-    cell-local dedup is globally exact — no pre-verify dedup shuffle."""
-    from ..functions.hashing import bucket_of
-    from .verify import _empty_verified, _load_shard, gather_lists
-
-    n_shards = store["num_shards"]
-    rs = store_b is not None
-    if rs and store_b["num_shards"] != n_shards:
-        raise ValueError("RS verify requires equal shard counts")
-    id1_t = store["id_type"]
-    id2_t = (store_b if rs else store)["id_type"]
-    empty = _empty_verified(id1_t, id2_t)
-
-    def add_cell(t: pa.Table) -> pa.Table:
-        k1 = np.asarray(t.column("k1"), dtype=np.int64)
-        k2 = np.asarray(t.column("k2"), dtype=np.int64)
-        cell = bucket_of(k1, n_shards) * n_shards + bucket_of(k2, n_shards)
-        return pa.table({
-            "cell": pa.array(cell.astype(np.int32), pa.int32()),
-            "k1": pa.array(k1, pa.int64()),
-            "k2": pa.array(k2, pa.int64()),
-        })
-
-    def verify_cell(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return empty
-        cell = int(t.column("cell")[0].as_py())
-        s1, s2 = cell // n_shards, cell % n_shards
-        k1 = np.asarray(t.column("k1"), dtype=np.int64)
-        k2 = np.asarray(t.column("k2"), dtype=np.int64)
-        order = np.lexsort((k2, k1))
-        k1, k2 = k1[order], k2[order]
-        first = np.ones(k1.size, bool)
-        first[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
-        k1, k2 = k1[first], k2[first]
-        sh1 = _load_shard(store, s1)
-        same = not rs and s2 == s1
-        sh2 = sh1 if same else _load_shard(store_b if rs else store, s2)
-        r1 = sh1.idx.get_indexer(k1)
-        r2 = sh2.idx.get_indexer(k2)
-        ok = (r1 >= 0) & (r2 >= 0)
-        r1, r2 = r1[ok], r2[ok]
-        if r1.size == 0:
-            return empty
-        # shards keep the ORIGINAL token hashes (sh.vals) alongside the
-        # dense labels so the IDF weight lookup works, exactly like
-        # _verify_weighted's broadcast index
-        va, oa = gather_lists(sh1.vals, sh1.offs, r1)
-        vb, ob = gather_lists(sh2.vals, sh2.offs, r2)
-        wt_toks, wt_vals, default_wt = get_broadcast(wt_ref)
-        ovlp_w = S.pair_weighted_overlap(va, oa, vb, ob, wt_toks, wt_vals, default_wt)
-        wa = S.record_weights(va, oa, wt_toks, wt_vals, default_wt)
-        wb = S.record_weights(vb, ob, wt_toks, wt_vals, default_wt)
-        s = S.weighted_set_sims(ovlp_w, wa, wb, sim)
-        if round_to is not None:
-            s = np.round(s, round_to)
-        keep = s >= threshold
-        if not keep.any():
-            return empty
-        a = sh1.ids[r1[keep]]
-        b = sh2.ids[r2[keep]]
-        if not rs:
-            swap = a > b
-            a, b = np.where(swap, b, a), np.where(swap, a, b)
-        return pa.table({
-            "id1": pa.array(a, id1_t),
-            "id2": pa.array(b, id2_t),
-            "sim": pa.array(s[keep], pa.float64()),
-        })
-
-    return (pairs_ds.select_columns(["k1", "k2"])
-            .map_batches(add_cell, batch_format="pyarrow")
-            .groupby("cell")
-            .map_groups(verify_cell, batch_format="pyarrow"))
+    return _weighted_verify_stage(
+        candidates, idx, toks_a, toks_b, wt_ref=wt_ref, sim=sim,
+        threshold=threshold, round_to=round_to, cfg=cfg)

@@ -274,3 +274,39 @@ def test_setsim_sharded_empty_docs(ray_session):
                            broadcast_bytes_limit=0, verify_shards=2,
                            include_empty_pairs=False)).to_pandas()
     assert len(out) == 0
+
+
+def _setsim_kernel():
+    from entityblockingbysimilarityjoins_ray.stages.verify import _setsim_cell
+
+    return _setsim_cell([("jac", 0.5)])
+
+
+def _value_kernel():
+    from entityblockingbysimilarityjoins_ray.stages.editjoin import _lev_cell
+
+    return _lev_cell(2)
+
+
+def _weighted_kernel():
+    from entityblockingbysimilarityjoins_ray.stages.weighted import _weighted_cell
+
+    return _weighted_cell(wt_ref=None, sim="jac", threshold=0.5, round_to=9)
+
+
+@pytest.mark.parametrize("make_kernel", [_setsim_kernel, _value_kernel,
+                                         _weighted_kernel],
+                         ids=["setsim", "value", "weighted"])
+def test_grid_verify_rejects_int32_cell_overflow(ray_session, make_kernel):
+    """Every grid kernel shares one guard: more than 46,340 shards would
+    overflow the int32 (shard(k1), shard(k2)) cell id, so grid_verify
+    raises when called (self and RS mode) instead of mis-routing pairs."""
+    from entityblockingbysimilarityjoins_ray.stages.verify import grid_verify
+
+    pairs = ray.data.from_arrow(pa.table({
+        "k1": pa.array([1], pa.int64()), "k2": pa.array([2], pa.int64())}))
+    stub = {"num_shards": 46_341, "id_type": pa.string()}
+    with pytest.raises(ValueError, match="46340"):
+        grid_verify(pairs, stub, make_kernel())
+    with pytest.raises(ValueError, match="46340"):
+        grid_verify(pairs, stub, make_kernel(), store_b=dict(stub))
