@@ -8,7 +8,10 @@ import pytest
 import ray.data
 
 from entityblockingbysimilarityjoins_ray.config import PipelineConfig
-from entityblockingbysimilarityjoins_ray.stages.editjoin import edit_self_join
+from entityblockingbysimilarityjoins_ray.stages.editjoin import (
+    edit_rs_join,
+    edit_self_join,
+)
 
 CFG = PipelineConfig(pair_partitions=8)
 
@@ -151,3 +154,111 @@ def test_edit_join_grid_path_matches_broadcast(ray_session):
     assert sorted(zip(a.id1, a.id2, a.sim)) == sorted(zip(b.id1, b.id2, b.sim))
     # RS keeps (A, B) side order on both paths
     assert all(i1 in set(df.iloc[::2].conv_id) for i1 in b.id1)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles over both physical plans (broadcast probe, grid)
+# ---------------------------------------------------------------------------
+
+GRID_CFG = PipelineConfig(pair_partitions=8, broadcast_limit=0,
+                          broadcast_bytes_limit=0, verify_shards=3)
+
+
+def _brute(df_a, df_b, D):
+    """Every pair through lev_dist_batch (DuckDB counts UTF-8 bytes, so
+    lev('é', 'e') == 2); ``df_b is None`` -> self join, ids lex-ordered."""
+    import itertools
+
+    from entityblockingbysimilarityjoins_ray.functions import sims as S
+
+    va = dict(zip(df_a.conv_id, df_a["head"].fillna("")))
+    if df_b is None:
+        pairs = list(itertools.combinations(sorted(va), 2))
+        vb = va
+    else:
+        vb = dict(zip(df_b.conv_id, df_b["head"].fillna("")))
+        pairs = [(a, b) for a in va for b in vb]
+    d = S.lev_dist_batch([va[a] for a, _ in pairs], [vb[b] for _, b in pairs])
+    return sorted((a, b, float(x)) for (a, b), x in zip(pairs, d) if x <= D)
+
+
+def _rows(ds):
+    got = ds.to_pandas()
+    return sorted(zip(got.id1, got.id2, got.sim.astype(float)))
+
+
+def _unicode_docs():
+    rng = np.random.default_rng(5)
+    alpha = ["a", "b", "é", "ñ", "😀", " "]
+    vals = ["".join(rng.choice(alpha, size=rng.integers(0, 7))) for _ in range(70)]
+    vals += [None, "", None, "", "é", "e", "😀😀", "ñandú", "nandu"]
+    return pd.DataFrame({"conv_id": [f"u{i:03d}" for i in range(len(vals))],
+                         "head": vals})
+
+
+@pytest.mark.parametrize("D", [0, 1, 2, 3])
+def test_edit_join_bruteforce_unicode_both_plans(ray_session, D):
+    """Self and RS edit joins equal an all-pairs lev_dist_batch oracle on
+    values mixing ASCII, accents, emoji, empty strings and nulls — on the
+    broadcast probe and on the grid plan.  Pins the prefix-hash signatures:
+    a missed span collision would drop a true pair."""
+    df = _unicode_docs()
+    a = df.iloc[::2].reset_index(drop=True)
+    b = df.iloc[1::2].reset_index(drop=True)
+    exp_self, exp_rs = _brute(df, None, D), _brute(a, b, D)
+    assert exp_self and exp_rs
+    for cfg in (CFG, GRID_CFG):
+        assert _rows(edit_self_join(ray.data.from_pandas(df), "head", D, cfg)) == exp_self
+        assert _rows(edit_rs_join(ray.data.from_pandas(a), ray.data.from_pandas(b),
+                                  "head", D, cfg)) == exp_rs
+
+
+def test_edit_join_broadcast_runs_no_shuffle(ray_session, monkeypatch):
+    """Under the broadcast gate the edit joins probe a broadcast index:
+    no groupby / sort shuffle anywhere in either join."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the broadcast edit join must not shuffle")
+
+    df = _unicode_docs()
+    a = df.iloc[::2].reset_index(drop=True)
+    b = df.iloc[1::2].reset_index(drop=True)
+    monkeypatch.setattr(ray.data.Dataset, "groupby", refuse)
+    monkeypatch.setattr(ray.data.Dataset, "sort", refuse)
+    assert _rows(edit_self_join(ray.data.from_pandas(df), "head", 2, CFG)) == _brute(df, None, 2)
+    assert _rows(edit_rs_join(ray.data.from_pandas(a), ray.data.from_pandas(b),
+                              "head", 2, CFG)) == _brute(a, b, 2)
+
+
+def test_edit_join_hot_key_chunked_probe(ray_session, monkeypatch):
+    """600 records sharing one value: each probe record's raw candidates
+    (one per matching index row per shared key) overflow a small chunk
+    budget, so the probe cuts inside records and must carry the record's
+    seen candidates across chunks — self and RS still equal brute force."""
+    from entityblockingbysimilarityjoins_ray.stages import editjoin
+
+    monkeypatch.setattr(editjoin, "_PROBE_CHUNK", 500)
+    vals = ["hot key"] * 600 + ["hot kez", "hot", "cold key", ""]
+    df = pd.DataFrame({"conv_id": [f"h{i:04d}" for i in range(len(vals))], "head": vals})
+    got = _rows(edit_self_join(ray.data.from_pandas(df), "head", 1, CFG))
+    assert len(got) > 600 * 599 // 2
+    assert got == _brute(df, None, 1)
+    a = df.iloc[::2].reset_index(drop=True)
+    b = df.iloc[1::2].reset_index(drop=True)
+    assert _rows(edit_rs_join(ray.data.from_pandas(a), ray.data.from_pandas(b),
+                              "head", 1, CFG)) == _brute(a, b, 1)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_edit_join_rejects_duplicate_ids(ray_session, side):
+    """A duplicated id on either table fails loudly, naming the id — not
+    through a downstream reindex error, and not only when the id happens to
+    land in a surviving candidate."""
+    a = pd.DataFrame({"conv_id": ["a1", "a2", "a3"], "head": ["xx", "yy", "zz"]})
+    b = pd.DataFrame({"conv_id": ["b1", "b2", "b3"], "head": ["qq", "rr", "ss"]})
+    dup = a if side == "A" else b
+    dup.loc[2, "conv_id"] = dup.loc[0, "conv_id"]
+    with pytest.raises(ValueError, match=f"{dup.loc[0, 'conv_id']}.*table {side}"):
+        edit_rs_join(ray.data.from_pandas(a), ray.data.from_pandas(b), "head", 1, CFG)
+    if side == "A":
+        with pytest.raises(ValueError, match="'a1'.*table A"):
+            edit_self_join(ray.data.from_pandas(a), "head", 1, CFG)
