@@ -23,9 +23,14 @@ def _init_ray(num_cpus: int):
     import ray
 
     if not ray.is_initialized():
+        # object store pinned at 40% of physical RAM: Ray's default (30% of
+        # available memory) sits under the 50%-of-task-memory share Ray Data
+        # warns about on every run; 40% of RAM clears it (the task memory
+        # resource is what is left after the store)
         ray.init(
             address="local",
             num_cpus=num_cpus,
+            object_store_memory=os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") * 2 // 5,
             include_dashboard=False,
             ignore_reinit_error=True,
             logging_level="ERROR",

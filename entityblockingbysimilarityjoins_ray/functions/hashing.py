@@ -141,6 +141,47 @@ def bipartite_pairs(
     return starts_a[grp] + i, starts_b[grp] + j
 
 
+PROBE_CHUNK = 262_144  # raw candidates per probe_pairs chunk
+
+
+def probe_pairs(row, lo, cnt, srows, n_index: int, keep, chunk: int):
+    """Distinct ``(probe record, index row)`` pairs of a sorted-index probe,
+    in chunks — the expansion shared by the broadcast edit and set-sim
+    joins.
+
+    Emission ``e`` of probe record ``row[e]`` (``row`` ascending) matched
+    the sorted index positions ``lo[e] .. lo[e] + cnt[e] - 1``, whose index
+    rows are ``srows``.  The raw candidate space expands at most ``chunk``
+    pairs at a time, cut between probe records unless one record alone
+    exceeds it; ``keep(e, r, x, y)`` masks raw candidates (emission,
+    sorted position, probe record, index row).  Yields each chunk's
+    surviving ``(x, y)`` pairs not yielded before: a record cut at a chunk
+    end carries its seen pairs into the next chunk, so one chunk plus one
+    record's distinct pairs is the memory bound and the dedup is exact."""
+    end = np.cumsum(cnt)
+    rec_end = end[np.flatnonzero(np.r_[row[1:] != row[:-1], True])] if row.size else end
+    total = int(end[-1]) if end.size else 0
+    nb = max(int(n_index), 1)
+    carry = np.empty(0, np.int64)  # pairs seen of the record cut at the last chunk end
+    p0 = 0
+    while p0 < total:
+        k = int(np.searchsorted(rec_end, p0 + chunk, "right"))
+        cut = k == 0 or rec_end[k - 1] <= p0
+        p1 = p0 + chunk if cut else int(rec_end[k - 1])
+        pos = np.arange(p0, p1)
+        e = np.searchsorted(end, pos, "right")
+        r = lo[e] + pos - (end[e] - cnt[e])
+        x, y = row[e], srows[r]
+        m = keep(e, r, x, y)
+        code = np.unique(x[m] * nb + y[m])
+        if carry.size:
+            code = code[~np.isin(code, carry)]
+        last = x[-1] if cut else -1
+        carry = np.union1d(carry[carry // nb == last], code[code // nb == last])
+        yield code // nb, code % nb
+        p0 = p1
+
+
 def group_sizes_from_sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(unique_start_indices, sizes) of consecutive equal runs in a sorted key array."""
     if keys.size == 0:

@@ -71,18 +71,22 @@ class _SetsimShared:
                 "broadcast": broadcast,
                 "verify_ref": None,
                 "shard_store": None,
-                "empty_ids": B.empty_record_ids(toks) if self.cfg.include_empty_pairs else [],
+                "empty_ids": [],
             }
             if broadcast:
-                # ONE driver collect yields both the verify index and the
-                # global df table (bincount over dense labels) — the
-                # distributed df pass is skipped entirely
+                # ONE driver collect yields the verify index, the global df
+                # table (bincount over dense labels) and the empty-record
+                # ids — the distributed df and empty-id passes are skipped
                 from ..stages.verify import collect_token_index_with_df
 
                 idx, df_table = collect_token_index_with_df(toks)
                 entry["verify_ref"] = _ray.put(idx)
                 entry["df_ref"] = _ray.put(df_table)
+                if self.cfg.include_empty_pairs:
+                    entry["empty_ids"] = B.index_empty_ids(idx[0], idx[2])
             else:
+                if self.cfg.include_empty_pairs:
+                    entry["empty_ids"] = B.empty_record_ids(toks)
                 entry["df_ref"] = _ray.put(B.build_df_table(toks))
                 # ONE sharded token store per tokenization, shared by every
                 # rule taking the beyond-broadcast grid-verify path

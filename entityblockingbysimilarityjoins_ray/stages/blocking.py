@@ -1,4 +1,4 @@
-"""Similarity-join blocking as Ray Data shuffles.
+"""Similarity-join blocking as Ray Data operators.
 
 Rebuilds the reference's rule-based blocker
 (/root/reference/cpp/blocker/simjoin_blocker.cc:8-177 dispatch: jac/cos/dice
@@ -10,25 +10,35 @@ instead of the reference's shared-memory partition-based join
 (sim, delta), which pytest verifies against brute-force oracles, the
 reference's own test strategy (test/test_setjoin.cc:20-40).
 
-Physical plan per rule:
+Physical plans of the set-sim joins (self, fused multi-rule, RS), chosen by
+verify.should_broadcast (records AND bytes); both take the df-ascending
+prefixes of _prefix and the PPJoin filters of _pair_filter:
 
-  tokenize (map_batches, vectorized)                       [stateless tasks]
-  -> token df counts (partial agg per batch + groupby)      [small shuffle]
-  -> signature emission (actor pool holding broadcast df)   [stateless-ish]
-  -> groupby(pbucket) + vectorized within-bucket pair gen   [the big shuffle]
-  -> slim (k1, k2) candidate dedup (hash-bucket groupby)    [16-byte shuffle]
-  -> exact verify: broadcast index under the gate, else the
-     sharded-index grid (verify.grid_verify)                [filter]
+  broadcast — no shuffle:
+  tokenize (map_batches, vectorized)                        [stateless tasks]
+  -> ONE driver collect: dense-label token index, df = one bincount
+  -> index side's prefix postings keyed (label, length), ray.put   [driver]
+  -> probe in map_batches: prefix -> searchsorted length ranges
+     -> positional filter -> in-task (probe, index) pair dedup
+     -> exact verify against the broadcast token index      [stateless tasks]
 
-Skew handling (explicit, north-rule requirement): prefix tokens are the
-globally rarest tokens of each record (df-ascending order, mirroring the
-reference's df-ordered token ids, tokenizer.cc:332-337), which already
-starves hot keys; any token with df > salt_df_threshold is additionally
-*triangle-salted* into salt_factor shards — records carry their shard u and
-are replicated to cells (u,u) and (min(u,v),max(u,v)) so each cell holds a
-bounded slice of the quadratic pair space and cells scatter across shuffle
-partitions.  Optional max_group_size caps runaway keys with LOGGED truncation
-(reference analogue: MAX_INV_SIZE, config.h:109-110 — never silent).
+  grid — beyond the gate, or when cfg.max_group_size is set:
+  tokenize -> token df counts (partial agg + bucket groupby) [small shuffle]
+  -> signature emission (broadcast df table)                [stateless tasks]
+  -> groupby(pbucket) + vectorized within-bucket pair gen    [the big shuffle]
+  -> slim (k1, k2) pairs to sharded-index grid cells, dedup
+     + exact verify in-cell (verify.grid_verify)             [16-byte shuffle]
+
+Skew handling: prefix tokens are the globally rarest tokens of each record
+(mirroring the reference's df-ordered token ids, tokenizer.cc:332-337),
+which already starves hot keys.  A probe expands its candidates in bounded
+chunks (functions.hashing.probe_pairs), so a hot posting list costs time,
+not memory.  On the grid plan only, any token with df > salt_df_threshold
+is *triangle-salted* into salt_factor shards — records carry their shard u
+and are replicated to cells (u,u) and (min(u,v),max(u,v)) so each cell
+holds a bounded slice of the quadratic pair space.  Optional max_group_size
+caps runaway keys per shuffle group with LOGGED truncation (reference
+analogue: MAX_INV_SIZE, config.h:109-110 — never silent).
 """
 
 from __future__ import annotations
@@ -43,12 +53,13 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions.hashing import (
+    PROBE_CHUNK,
     bipartite_pairs,
     get_broadcast,
     bucket_of,
     group_sizes_from_sorted,
     hash_strings,
-    within_group_pairs,
+    probe_pairs,
 )
 from ..functions.tokenize import tokens_list_array
 from ..raycompat import strip_pandas_metadata
@@ -186,8 +197,27 @@ def length_ratio(sim: str, threshold: float) -> float | None:
     return None  # overlap join: only the removeShort bound applies
 
 
+def _prefix(vals: np.ndarray, dfs: np.ndarray, offs: np.ndarray,
+            rules: list[tuple[str, float]]):
+    """Prefix tokens of each record (``offs`` from 0): its tokens rarest
+    first (df asc, token asc — the reference's global df-ordered id space,
+    tokenizer.cc:332-337), the first l - T(l) + 1 of them under the fused
+    (loosest) bound over ``rules``, df >= 2 only.  Returns ``(tok, row, pos,
+    df)`` per prefix token, rows ascending; ``pos`` is the token's rank in
+    its record's order (the positional filter's input)."""
+    lens = np.diff(offs)
+    rows = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    order = np.lexsort((vals, dfs, rows))
+    vals_o, dfs_o, rows_o = vals[order], dfs[order], rows[order]
+    pos = np.arange(vals_o.size) - np.repeat(offs[:-1], lens)
+    T = np.minimum.reduce([min_overlap_count(s, t, lens) for s, t in rules])
+    # prefix length l - T + 1 <= 0: the record cannot match (overlap removeShort)
+    keep = (pos < (lens - T + 1)[rows_o]) & (dfs_o >= 2)
+    return vals_o[keep], rows_o[keep], pos[keep], dfs_o[keep]
+
+
 # ---------------------------------------------------------------------------
-# signature emission (actor pool holding the broadcast df table)
+# grid plan: signature emission + within-bucket pair generation
 # ---------------------------------------------------------------------------
 
 
@@ -201,13 +231,8 @@ def _emit_signatures(
     salt_factor: int,
     rs_side: int | None = None,
 ) -> pa.Table:
-    """Emit (tok, cell, side, id, tlen) prefix-signature rows per record.
-
-    Runs as a STATELESS task: the broadcast df table is fetched from the
-    object store once per worker process (zero-copy plasma read) via
-    get_broadcast — no actor pool, so no min-actor CPU reservation that
-    could starve the streaming executor when several rules execute in one
-    unioned plan.
+    """Emit (tok, cell, side, id, tlen) prefix-signature rows per record;
+    a stateless task reading the df table once per worker (get_broadcast).
 
     ``rs_side``: None for a self-join (triangle salting); 0 / 1 for the
     A / B side of an RS (two-table) join (reference RSJoin,
@@ -232,22 +257,9 @@ def _emit_signatures(
         offs = offs - offs[0]
     vals = np.asarray(col.flatten(), dtype=np.int64)
     lens = np.diff(offs)
-    n = ids.size
-    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-
-    dfs = lookup_df(vals, df_toks, df_vals)
-    # order each record's tokens rarest-first (df asc, tok asc) — the
-    # reference's global df-ordered id space (tokenizer.cc:332-337)
-    order = np.lexsort((vals, dfs, rows))
-    vals_o, dfs_o, rows_o = vals[order], dfs[order], rows[order]
-    pos = np.arange(vals_o.size) - np.repeat(offs[:-1], lens)
-
-    T = np.minimum.reduce([min_overlap_count(s, t, lens) for s, t in rules])
-    prefix_len = lens - T + 1  # <=0 -> record cannot match (overlap removeShort)
-    keep = (pos < prefix_len[rows_o]) & (dfs_o >= 2)
-    tok_e, row_e = vals_o[keep], rows_o[keep]
-    pos_e = pos[keep].astype(np.int32)
-    df_e = dfs_o[keep]
+    tok_e, row_e, pos_e, df_e = _prefix(vals, lookup_df(vals, df_toks, df_vals),
+                                        offs, rules)
+    pos_e = pos_e.astype(np.int32)
 
     # salting: records under a hot token replicate across cells.  With
     # salt_factor <= 1 salting is DISABLED — every row is cold; marking
@@ -310,11 +322,6 @@ def _emit_signatures(
     )
 
 
-# ---------------------------------------------------------------------------
-# within-bucket pair generation (vectorized; one call per shuffle partition)
-# ---------------------------------------------------------------------------
-
-
 def pair_min_overlap(
     sim: str, threshold: float, la: np.ndarray, lb: np.ndarray
 ) -> np.ndarray:
@@ -332,35 +339,37 @@ def pair_min_overlap(
     raise ValueError(sim)
 
 
-def _pair_range_triangle(cum, p_lo, p_hi):
-    """Decode pair numbers [p_lo, p_hi) of back-to-back triangle groups into
-    (group, i, j) — the chunked form of within_group_pairs.  ``cum`` is the
-    cumulative per-group pair count."""
-    p = np.arange(p_lo, p_hi, dtype=np.int64)
-    grp = np.searchsorted(cum, p, side="right")
-    base = np.where(grp > 0, cum[grp - 1], 0)
-    p_local = p - base
-    j = ((1.0 + np.sqrt(1.0 + 8.0 * p_local)) / 2.0).astype(np.int64)
-    j_lo = j * (j - 1) // 2
-    j = np.where(p_local < j_lo, j - 1, j)
-    j = np.where(p_local >= (j + 1) * j // 2, j + 1, j)
-    i = p_local - j * (j - 1) // 2
-    return grp, i, j
+def _pair_filter(la, lb, ra, rb, rules: list[tuple[str, float]],
+                 alpha: float | None) -> np.ndarray:
+    """PPJoin's length and positional filters (Xiao et al., WWW'08) for
+    candidates of lengths (la, lb) met under a shared prefix token with
+    ``ra``/``rb`` tokens after it in each record's order: min(la, lb) >=
+    alpha * max(la, lb), and 1 + min(ra, rb) >= T(la, lb), the pairwise
+    bound loosest over ``rules``.  The pair's rarest common token always
+    passes, so the filters keep the candidate SET exact."""
+    mask = np.ones(la.size, bool)
+    if alpha is not None:
+        mask &= np.minimum(la, lb) >= alpha * np.maximum(la, lb).astype(np.float64) - _EPS
+    T = np.minimum.reduce([pair_min_overlap(s, th, la, lb) for s, th in rules])
+    return mask & (1.0 + np.minimum(ra, rb) >= T)
 
 
 def _iter_triangle_chunks(starts, sizes, chunk_pairs: int = 262_144):
     """Yield (ii, jj) global-row-index chunks over ALL within-group pairs
-    of back-to-back sorted groups.  Bounded memory for arbitrarily hot
-    groups — a single equal-value clique of m records decodes its
-    m(m-1)/2 index space ``chunk_pairs`` at a time instead of
-    materializing it at once (the setsim path's chunked decode, shared by
-    the exact and anm joins)."""
-    npairs = sizes * (sizes - 1) // 2
-    cum = np.cumsum(npairs)
+    of back-to-back sorted groups — within_group_pairs decoded
+    ``chunk_pairs`` pair numbers at a time, so a hot equal-value clique of
+    m records never materializes its m(m-1)/2 index space at once (shared
+    by the grid set-sim pairgen and the exact and anm joins)."""
+    cum = np.cumsum(sizes * (sizes - 1) // 2)
     total = int(cum[-1]) if cum.size else 0
     for p0 in range(0, total, chunk_pairs):
-        p1 = min(p0 + chunk_pairs, total)
-        grp, i, j = _pair_range_triangle(cum, p0, p1)
+        p = np.arange(p0, min(p0 + chunk_pairs, total), dtype=np.int64)
+        grp = np.searchsorted(cum, p, side="right")
+        p_local = p - np.where(grp > 0, cum[grp - 1], 0)
+        j = ((1.0 + np.sqrt(1.0 + 8.0 * p_local)) / 2.0).astype(np.int64)
+        j = np.where(p_local < j * (j - 1) // 2, j - 1, j)  # sqrt rounding
+        j = np.where(p_local >= (j + 1) * j // 2, j + 1, j)
+        i = p_local - j * (j - 1) // 2
         yield starts[grp] + i, starts[grp] + j
 
 
@@ -368,17 +377,10 @@ def _pairgen_bucket(
     t: pa.Table, *, rules: list[tuple[str, float]], alpha: float | None,
     max_group_size: int | None, chunk_pairs: int = 262_144, rs: bool = False,
 ) -> pa.Table:
-    """Vectorized within-bucket candidate generation with PPJoin-style
-    pruning (Xiao et al., WWW'08):
-
-    - *length filter*: min(la,lb) >= alpha * max(la,lb)
-    - *positional filter*: a pair found under a shared signature token at
-      positions (pa, pb) of the records' df-ascending orders can overlap at
-      most 1 + min(la-pa-1, lb-pb-1) tokens; require that >= T(la,lb).  The
-      pair's globally rarest common token always satisfies the bound, so the
-      output candidate SET is unchanged (exact) — but hot-token groups,
-      where every member carries the token near the END of its prefix, are
-      pruned from quadratic to near-zero.
+    """Vectorized within-bucket candidate generation (the grid plan) with
+    _pair_filter's length and positional pruning — hot-token groups, where
+    every member carries the token near the END of its prefix, are pruned
+    from quadratic to near-zero.
 
     Candidate index space is decoded in fixed-size chunks so a hot group
     never materializes its full m^2/2 index range at once.
@@ -448,14 +450,7 @@ def _pairgen_bucket(
     out2: list[np.ndarray] = []
 
     def emit(ii: np.ndarray, jj: np.ndarray):
-        la, lb = tlen[ii], tlen[jj]
-        mask = np.ones(ii.size, bool)
-        if alpha is not None:
-            lo = np.minimum(la, lb).astype(np.float64)
-            hi = np.maximum(la, lb).astype(np.float64)
-            mask &= lo >= alpha * hi - _EPS
-        T = np.minimum.reduce([pair_min_overlap(s, th, la, lb) for s, th in rules])
-        mask &= 1.0 + np.minimum(remain[ii], remain[jj]) >= T
+        mask = _pair_filter(tlen[ii], tlen[jj], remain[ii], remain[jj], rules, alpha)
         if not rs:
             mask &= idh[ii] != idh[jj]  # self-pairs (64-bit id-hash dedup)
         out1.append(ii[mask])
@@ -465,29 +460,18 @@ def _pairgen_bucket(
     # RS mode: a single-side group has no cross pairs — skip entirely.
     tri = nb == 0
     if not rs:
-        sizes_tri = na[tri]
-        starts_tri = starts[tri]
-        npairs_tri = sizes_tri * (sizes_tri - 1) // 2
-        cum_tri = np.cumsum(npairs_tri)
-        total_tri = int(cum_tri[-1]) if cum_tri.size else 0
-        for p0 in range(0, total_tri, chunk_pairs):
-            p1 = min(p0 + chunk_pairs, total_tri)
-            grp, i, j = _pair_range_triangle(cum_tri, p0, p1)
-            emit(starts_tri[grp] + i, starts_tri[grp] + j)
+        for ii, jj in _iter_triangle_chunks(starts[tri], na[tri], chunk_pairs):
+            emit(ii, jj)
 
     # bipartite groups (salted cross cells), chunked
     cross = ~tri
-    sa, sb = na[cross], nb[cross]
-    st = starts[cross]
-    npairs_bi = sa * sb
-    cum_bi = np.cumsum(npairs_bi)
+    sa, sb, st = na[cross], nb[cross], starts[cross]
+    cum_bi = np.cumsum(sa * sb)
     total_bi = int(cum_bi[-1]) if cum_bi.size else 0
     for p0 in range(0, total_bi, chunk_pairs):
-        p1 = min(p0 + chunk_pairs, total_bi)
-        p = np.arange(p0, p1, dtype=np.int64)
+        p = np.arange(p0, min(p0 + chunk_pairs, total_bi), dtype=np.int64)
         grp = np.searchsorted(cum_bi, p, side="right")
-        base = np.where(grp > 0, cum_bi[grp - 1], 0)
-        p_local = p - base
+        p_local = p - np.where(grp > 0, cum_bi[grp - 1], 0)
         szb = sb[grp]
         emit(st[grp] + p_local // szb, st[grp] + sa[grp] + p_local % szb)
 
@@ -515,6 +499,22 @@ def _pairgen_bucket(
     # materialize id strings for survivors only
     return pa.table({"k1": pa.array(k1s[first], pa.int64()),
                      "k2": pa.array(k2s[first], pa.int64())})
+
+
+def _grid_candidates(sides: list, df_ref, rules: list[tuple[str, float]],
+                     cfg: PipelineConfig) -> "ray.data.Dataset":
+    """The grid plan's slim (k1, k2) candidates: signatures of one table
+    (self join) or of A and B (RS, ``sides = [A, B]``), the pb sort shuffle
+    and within-bucket pair generation."""
+    rs = len(sides) == 2
+    sigs = [t.map_batches(_emit_signatures, batch_format="pyarrow", fn_kwargs=dict(
+        df_ref=df_ref, rules=rules, pair_partitions=cfg.pair_partitions,
+        salt_df_threshold=cfg.salt_df_threshold, salt_factor=cfg.salt_factor,
+        rs_side=side if rs else None)) for side, t in enumerate(sides)]
+    return (sigs[0].union(sigs[1]) if rs else sigs[0]).groupby("pb").map_groups(
+        _pairgen_bucket, batch_format="pyarrow",
+        fn_kwargs={"rules": rules, "alpha": fused_length_ratio(rules),
+                   "max_group_size": cfg.max_group_size, "rs": rs})
 
 
 def verify_shards(cfg: PipelineConfig) -> int:
@@ -598,35 +598,122 @@ def dedupe_pairs(pairs: "ray.data.Dataset", num_partitions: int, count_col: str 
     )
 
 
-def _strip_rule_cols(t: pa.Table) -> pa.Table:
-    """Project verify output to {id1, id2, sim}: with candidates pre-deduped
-    on (k1, k2) every (pair, rule) row is unique by construction, so the
-    rule/k1/k2 bookkeeping columns just drop (no survivor shuffle)."""
-    return t.select(["id1", "id2", "sim"])
+_PROBE_CHUNK = PROBE_CHUNK  # read per call, so tests can shrink it
 
 
+def _probe_index(idx, rules: list[tuple[str, float]]):
+    """Driver side of the broadcast probe: the index side's prefix postings
+    from the collected verify index (B = A for a self join).  df per dense
+    label is one bincount (over A's and B's labels for RS); labels rank the
+    sorted token hashes, so (df, label) is _emit_signatures' (df, token)
+    order.  Postings are sorted by ``label * M + record length`` (M =
+    longest index record + 1): one token's length-eligible partners are one
+    ``searchsorted`` range.  Returns ``(dfl, M, keys, rows, pos)``."""
+    lb, ob = idx[-3], idx[-2]
+    dfl = np.bincount(lb if len(idx) == 4 else np.concatenate((idx[1], lb)),
+                      minlength=idx[-1])
+    tok, row, pos, _ = _prefix(lb, dfl[lb], ob, rules)
+    lens = np.diff(ob)
+    M = int(lens.max()) + 1 if lens.size else 1
+    key = tok.astype(np.int64) * M + lens[row]
+    order = np.argsort(key, kind="stable")
+    return dfl, M, key[order], row[order], pos[order]
 
+
+def _posting_ranges(skeys, M: int, tok, l, alpha: float | None, self_join: bool):
+    """``(start, cnt)`` of the sorted postings of token ``tok`` whose
+    lengths suit a record of length ``l``: [ceil(α·l), l] in a self join,
+    [ceil(α·l), floor(l/α)] in an RS join, any (up to l in a self join)
+    without a length ratio.  The upper end is clamped to M - 1 and the
+    lower one to M, so a range never reaches the next token's postings."""
+    if alpha:
+        lo = np.ceil(alpha * l - _EPS)
+        hi = l if self_join else np.floor((l + _EPS) / alpha)
+    else:
+        lo, hi = 0, l if self_join else M - 1
+    base = tok.astype(np.int64) * M
+    start = np.searchsorted(skeys, base + np.minimum(lo, M).astype(np.int64), "left")
+    end = np.searchsorted(skeys, base + np.minimum(hi, M - 1).astype(np.int64), "right")
+    return start, np.maximum(end - start, 0)
+
+
+def _setsim_probe(t: pa.Table, *, toks_ref, probe_ref,
+                  rules: list[tuple[str, float]], chunk: int) -> pa.Table:
+    """Probe a batch of A records against the broadcast prefix postings
+    (_probe_index) and verify inline — the reference's inverted-index probe
+    with positional filter (setjoin_parallel.cc:427-788).
+
+    Each record's prefix (_prefix, from its index row's labels) looks up
+    its partners of eligible length (_posting_ranges), _pair_filter prunes,
+    a self pair is kept only from its larger (length, index row) record,
+    and (probe, index) pairs dedupe in-task — exact, as each probe record
+    lives in one task."""
+    from .verify import _idh_token_index, gather_lists, verify_index_pairs
+
+    ha, _, va, oa, _, _, ob, _, self_join = _idh_token_index(toks_ref)
+    dfl, M, skeys, srows, spos = get_broadcast(probe_ref)
+    ids = np.asarray(t.column("conv_id").to_numpy(zero_copy_only=False), dtype=object)
+    xr = ha.get_indexer(hash_strings(ids))
+    xr = xr[xr >= 0]
+    vals, offs = gather_lists(va, oa, xr)
+    tok, row, pos, _ = _prefix(vals, dfl[vals], offs, rules)
+    lx = np.diff(offs)
+    l = lx[row]
+    alpha = fused_length_ratio(rules)
+    start, cnt = _posting_ranges(skeys, M, tok, l, alpha, self_join)
+    hit = cnt > 0
+    row, start, cnt, rem = row[hit], start[hit], cnt[hit], (l - pos - 1)[hit]
+
+    def keep(e, r, x, y):
+        la, lb = lx[x], skeys[r] % M
+        k = _pair_filter(la, lb, rem[e], lb - spos[r] - 1, rules, alpha)
+        if self_join:
+            k &= (lb < la) | ((lb == la) & (y < xr[x]))
+        return k
+
+    parts = [verify_index_pairs(xr[x], y, toks_ref, rules)
+             for x, y in probe_pairs(row, start, cnt, srows, ob.size - 1, keep, chunk)]
+    return pa.concat_tables(parts) if parts else _EMPTY_PAIRS
+
+
+def _probe_join(probe_ds, idx, verify_ref, rules, tables: str):
+    """The set-sim joins' broadcast plan, no shuffle: the driver checks ids
+    and builds postings from the collected index ``idx`` (``verify_ref`` is
+    its ``ray.put``); ``probe_ds``'s records probe them in map_batches."""
+    from .verify import check_unique_ids
+
+    for index, table in zip(idx[0:-1:3], tables):
+        check_unique_ids(index.to_numpy(), table)
+    return probe_ds.select_columns(["conv_id"]).map_batches(
+        _setsim_probe, batch_format="pyarrow",
+        fn_kwargs=dict(toks_ref=verify_ref, probe_ref=ray.put(_probe_index(idx, rules)),
+                       rules=rules, chunk=_PROBE_CHUNK))
+
+
+def index_empty_ids(index, offs, limit: int = 5_000_000) -> list:
+    """empty_record_ids from a collected token index — no Ray pass."""
+    return _capped_empty_ids(index[np.diff(offs) == 0].tolist(), limit)
 
 
 def empty_record_ids(toks_ds, limit: int = 5_000_000) -> list:
     """ids of empty-token records (full scan, do ONCE per tokenization).
 
-    ONE bounded pass: ``limit(limit + 1)`` caps the pull at limit+1 ids —
-    the same driver/broadcast-memory ceiling as the success path (the list
-    seeds the ray.put broadcast the distributed clique expansion in
-    _empty_pairs_ds reads) — so a pathological corpus whose empties exceed
-    ``limit`` fails LOUDLY with the fix (include_empty_pairs=False, or
-    clean the corpus) instead of OOMing the driver, without the former
-    count-then-collect double execution of the upstream DAG; the n²/2
-    empty-pair clique itself would be astronomically large well before
-    the cap."""
+    ONE bounded pass: ``limit(limit + 1)`` caps the pull at limit+1 ids (the
+    list seeds the broadcast _empty_pairs_ds expands), so a corpus whose
+    empties exceed ``limit`` fails LOUDLY with the fix instead of OOMing the
+    driver; the n²/2 empty-pair clique would be astronomically large well
+    before the cap."""
     import pyarrow.compute as pc
 
     empties = toks_ds.map_batches(
         lambda t: t.filter(pc.equal(t["tlen"], 0)).select(["conv_id"]),
         batch_format="pyarrow",
     )
-    ids = [r["conv_id"] for r in empties.limit(limit + 1).take_all()]
+    return _capped_empty_ids(
+        [r["conv_id"] for r in empties.limit(limit + 1).take_all()], limit)
+
+
+def _capped_empty_ids(ids: list, limit: int) -> list:
     if len(ids) > limit:
         raise RuntimeError(
             f"over {limit} empty-token records exceed the driver/broadcast "
@@ -662,8 +749,6 @@ def _empty_pairs_ds(toks_ds, cfg: PipelineConfig, ids: list | None = None):
     ids_ref = ray.put(np.asarray(ids, dtype=object))
 
     def expand(t: pa.Table) -> pa.Table:
-        from ..functions.hashing import get_broadcast
-
         all_ids = get_broadcast(ids_ref)
         i_arr = np.asarray(t.column("i"), dtype=np.int64)
         counts = n - 1 - i_arr
@@ -777,19 +862,12 @@ def setsim_self_join_multi(
     shard_store: dict | None = None,
 ) -> "ray.data.Dataset":
     """FUSED multi-rule set-sim self-join: several (sim, threshold) rules over
-    the SAME tokenization run as ONE signature -> pairgen -> dedup -> verify
-    pass.  Signatures/filters use the element-wise loosest bound across rules
-    (candidate superset per rule); verify computes the exact overlap ONCE per
-    pair and emits one {id1, id2, sim} row per (pair, passing rule) — exactly
-    what the single-rule joins would emit in union, so composing the result
-    into pipelines.er.union_rules (pair dedup + passed_rules count + max-sim)
-    is output-identical to running each rule separately.
-
-    Motivation: the reference runs each rule's join serially over shared
-    tokenized datasets (block.cc:204-273 + simjoin_blocker.cc:8-177); at
-    sf0.1 the jac+cos pair of rules spends ~147 s in two nearly identical
-    passes — fusing them reclaims the duplicated signature emission, pair
-    shuffle and overlap computation."""
+    the SAME tokenization run as ONE join pass (the reference runs them
+    serially over shared tokenized datasets, block.cc:204-273).  Prefixes
+    and filters use the element-wise loosest bound across rules (candidate
+    superset per rule); verify computes the exact overlap ONCE per pair and
+    emits one {id1, id2, sim} row per (pair, passing rule) — exactly what
+    the single-rule joins would emit in union."""
     return _setsim_self_join(
         toks_ds, rules, cfg, df_ref=df_ref, broadcast=broadcast,
         verify_ref=verify_ref, empty_ids=empty_ids, n_records=n_records,
@@ -799,58 +877,33 @@ def setsim_self_join_multi(
 def _setsim_self_join(toks_ds, rules, cfg: PipelineConfig, *, df_ref,
                       broadcast, verify_ref, empty_ids, n_records,
                       shard_store, in_join_topk: int | None = None):
-    """The body shared by setsim_self_join and setsim_self_join_multi."""
-    if df_ref is None:
-        df_ref = ray.put(build_df_table(toks_ds))
+    """The body shared by setsim_self_join and setsim_self_join_multi: the
+    broadcast probe under the gate (unless ``cfg.max_group_size`` asks for
+    the per-group cap, defined on the shuffle's groups), else the grid."""
     if broadcast is None:
-        n_records = n_records if n_records is not None else toks_ds.count()
-        from .verify import should_broadcast
+        from .verify import broadcast_gate
 
-        broadcast = should_broadcast(toks_ds, n_records, cfg.broadcast_limit,
-                                     cfg.broadcast_bytes_limit)
-    if broadcast and verify_ref is None:
+        broadcast = broadcast_gate([toks_ds], n_records, cfg)
+    if broadcast and cfg.max_group_size is None:
         from .verify import collect_token_index
 
-        verify_ref = ray.put(collect_token_index(toks_ds))
-    sigs = toks_ds.map_batches(
-        _emit_signatures,
-        fn_kwargs=dict(
-            df_ref=df_ref, rules=rules,
-            pair_partitions=cfg.pair_partitions,
-            salt_df_threshold=cfg.salt_df_threshold, salt_factor=cfg.salt_factor,
-        ),
-        batch_format="pyarrow",
-    )
-    candidates = sigs.groupby("pb").map_groups(
-        _pairgen_bucket,
-        fn_kwargs={"rules": rules, "alpha": fused_length_ratio(rules),
-                   "max_group_size": cfg.max_group_size},
-        batch_format="pyarrow",
-    )
-    if broadcast:
-        # slim (k1, k2) candidates DEDUPE before the verify: dup-dense pairs
-        # surface once per shared signature token (~50x for near-identical
-        # docs at sf0.1), and the 16-byte int shuffle is far cheaper than
-        # re-verifying the copies — measured 39.2 s -> 4.5 s dedupe + 10.8 s
-        # verify on 59.85M raw -> 31.7M unique pairs at sf0.1/32 cpus (the
-        # in-bucket (k1, k2) sort also hands the bitmap kernel contiguous k1
-        # runs).  Post-dedup each (pair, rule) row is unique by construction:
-        # the survivor-dedup shuffle is gone, only a projection remains.
-        from .verify import hash_verify_rules_batch
-
-        rows = dedupe_pairs(candidates, cfg.pair_partitions).map_batches(
-            hash_verify_rules_batch,
-            fn_kwargs=dict(toks_ref=verify_ref, rules=rules),
-            batch_format="pyarrow",
-            batch_size=8192,
-        )
-        verified = rows.map_batches(_strip_rule_cols, batch_format="pyarrow")
+        if verify_ref is None:
+            idx = collect_token_index(toks_ds)
+            verify_ref = ray.put(idx)
+        else:
+            idx = ray.get(verify_ref)
+        verified = _probe_join(toks_ds, idx, verify_ref, rules, "A")
+        if empty_ids is None and cfg.include_empty_pairs:
+            empty_ids = index_empty_ids(idx[0], idx[2])
     else:
         # beyond-broadcast: slim (k1, k2) candidates shuffle ONCE to grid
         # cells of a sharded token store — no token list ever crosses a
         # shuffle, worker memory bounded by two shards (see verify.py)
         from .verify import build_token_shard_store, verify_pairs_sharded
 
+        if df_ref is None:
+            df_ref = ray.put(build_df_table(toks_ds))
+        candidates = _grid_candidates([toks_ds], df_ref, rules, cfg)
         if shard_store is None:
             shard_store = build_token_shard_store(
                 toks_ds, num_shards=verify_shards(cfg),
@@ -1053,81 +1106,27 @@ def setsim_rs_join(
 
     The df table spans A ∪ B (the reference's combined dictionary,
     RStableAttr2IntVector tokenizer.cc:240-411), so both sides order their
-    prefixes by the same global rarity."""
+    prefixes by the same global rarity.  Plans as in the self join: under
+    the broadcast gate A probes B's prefix postings (one driver collect
+    yields both sides' index and the combined df), else the grid."""
     if broadcast is None:
-        n_records = n_records if n_records is not None else toks_a.count() + toks_b.count()
-        from .verify import should_broadcast
+        from .verify import broadcast_gate
 
-        # same bytes+count gate as the self-join path: a count under the
-        # limit but a wide payload (long docs) must still take the join path
-        try:
-            sz = toks_a.size_bytes() + toks_b.size_bytes()
-        except Exception:
-            sz = None
-        broadcast = should_broadcast(None, n_records, cfg.broadcast_limit,
-                                     cfg.broadcast_bytes_limit, size_bytes=sz)
-    verify_idx = None
-    if df_table is None:
-        if broadcast:
-            # ONE driver collect yields BOTH the two-sided verify index and
-            # the combined-dictionary df table — the distributed df pass
-            # (union + sort shuffle over A ∪ B) is skipped entirely, the
-            # same economy the self-join's _SetsimShared makes
-            from .verify import collect_token_index_rs_with_df
-
-            verify_idx, df_table = collect_token_index_rs_with_df(toks_a, toks_b)
-        else:
-            df_table = build_df_table(toks_a.union(toks_b))
-    df_ref = ray.put(df_table)
+        broadcast = broadcast_gate([toks_a, toks_b], n_records, cfg)
     rules = [(sim, threshold)]
-    common = dict(
-        df_ref=df_ref, rules=rules,
-        pair_partitions=cfg.pair_partitions,
-        salt_df_threshold=cfg.salt_df_threshold, salt_factor=cfg.salt_factor,
-    )
-    sigs_a = toks_a.map_batches(
-        _emit_signatures, fn_kwargs=dict(common, rs_side=0), batch_format="pyarrow"
-    )
-    sigs_b = toks_b.map_batches(
-        _emit_signatures, fn_kwargs=dict(common, rs_side=1), batch_format="pyarrow"
-    )
-    candidates = sigs_a.union(sigs_b).groupby("pb").map_groups(
-        _pairgen_bucket,
-        fn_kwargs={"rules": rules, "alpha": length_ratio(sim, threshold),
-                   "max_group_size": cfg.max_group_size, "rs": True},
-        batch_format="pyarrow",
-    )
-    if broadcast:
-        # slim (k1, k2) candidates DEDUPE before the inline verify against
-        # the two-sided broadcast index, mirroring the self-join: RS raw
-        # candidates surface once per shared signature token too (measured
-        # ~39x duplicate factor on the sf0.1 conv-parity split — 1.22M
-        # verified rows collapsing to 31.5k pairs), so the 16-byte int
-        # shuffle is far cheaper than re-verifying the copies.  Post-dedup
-        # every (pair, rule) row is unique by construction — the former
-        # survivor-dedup shuffle drops to a projection.  RS pairs carry
-        # (A, B) order in (k1, k2), so the un-canonicalized dedup is exact.
-        from .verify import collect_token_index_rs, hash_verify_rules_batch
+    empties = None
+    if broadcast and cfg.max_group_size is None:
+        from .verify import collect_token_index_rs_with_df
 
-        if verify_idx is None:
-            verify_idx = collect_token_index_rs(toks_a, toks_b)
-        verify_ref = ray.put(verify_idx)
-        # dedup fan-out: RS candidates are an order of magnitude lighter
-        # than the self-join's (one prefix overlap across tables, ~2.5x dup
-        # vs ~19x: 2.6M raw vs 31.7M at sf0.1), so an 8x smaller reduce fan
-        # avoids 2048 near-empty sort tasks while staying slim-pair-scale
-        cands = dedupe_pairs(
-            candidates, max(survivor_partitions(cfg), cfg.pair_partitions // 8))
-        rows = cands.map_batches(
-            hash_verify_rules_batch,
-            fn_kwargs=dict(toks_ref=verify_ref, rules=rules),
-            batch_format="pyarrow",
-            batch_size=8192,
-        )
-        verified = rows.map_batches(_strip_rule_cols, batch_format="pyarrow")
+        idx, _ = collect_token_index_rs_with_df(toks_a, toks_b)
+        verified = _probe_join(toks_a, idx, ray.put(idx), rules, "AB")
+        empties = (index_empty_ids(idx[0], idx[2]), index_empty_ids(idx[3], idx[5]))
     else:
         from .verify import build_token_shard_store, verify_pairs_sharded
 
+        if df_table is None:
+            df_table = build_df_table(toks_a.union(toks_b))
+        candidates = _grid_candidates([toks_a, toks_b], ray.put(df_table), rules, cfg)
         ns = verify_shards(cfg)
         store_a = build_token_shard_store(toks_a, num_shards=ns,
                                           store_dir=cfg.shard_store_dir)
@@ -1136,7 +1135,8 @@ def setsim_rs_join(
         verified = verify_pairs_sharded(
             candidates, store_a, rules=rules, store_b=store_b)
     if sim in ("jac", "cos", "dice") and cfg.include_empty_pairs and threshold <= 1.0:
-        ep = _empty_pairs_rs_ds(empty_record_ids(toks_a), empty_record_ids(toks_b))
+        ea, eb = empties or (empty_record_ids(toks_a), empty_record_ids(toks_b))
+        ep = _empty_pairs_rs_ds(ea, eb)
         if ep is not None:
             verified = verified.union(ep)
     return verified

@@ -17,16 +17,17 @@ byte-equal to the oracle concatenation (per-turn text equality).
 
 Scale notes: a straight ``groupby("conv_id").map_groups`` pays a Python call
 per conversation.  Instead we shuffle once on a hash bucket of conv_id
-(`num_buckets` >= 2-4x total cores) and run a *vectorized* pandas
-sort+groupby-agg per bucket — every conversation's turns land in exactly one
-bucket, so results are exact; per-group Python overhead is O(buckets), not
-O(conversations).
+(`num_buckets` >= 2-4x total cores) and reduce each bucket in Arrow: a
+stable sort on (conv_id, turn_idx), one hash aggregation (text list/first,
+turn count, ts min/max) and ``binary_join`` for the doc — every
+conversation's turns land in exactly one bucket, so results are exact;
+per-group Python overhead is O(buckets), not O(conversations), and no
+bucket round-trips through pandas.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
@@ -45,22 +46,31 @@ def _add_bucket(t: pa.Table, num_buckets: int) -> pa.Table:
     return t.append_column("_bucket", pa.array(b, pa.int32()))
 
 
-def _canon_bucket(df: pd.DataFrame, sep: str) -> pd.DataFrame:
-    df = df.sort_values(["conv_id", "turn_idx"], kind="stable")
-    df["text"] = df["text"].fillna("")
-    g = df.groupby("conv_id", sort=True)
-    out = pd.DataFrame(
-        {
-            "doc": g["text"].agg(sep.join),
-            "head": g["text"].first(),
-            "n_turns": g.size().astype(np.int64),
-            "ts_min": g["ts"].min(),
-            "ts_max": g["ts"].max(),
-        }
-    )
-    out["n_chars"] = out["doc"].str.len().astype(np.int64)
-    out = out.reset_index()
-    return out[["conv_id", "doc", "head", "n_turns", "n_chars", "ts_min", "ts_max"]]
+def _canon_bucket(t: pa.Table, sep: str) -> pa.Table:
+    # rows without a conv_id belong to no conversation (dropped, as a
+    # pandas groupby drops NaN keys); the sort is stable, so duplicated
+    # turn_idx values keep their input order
+    t = t.filter(pc.is_valid(t.column("conv_id")))
+    t = t.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+    text = pc.fill_null(pc.cast(t.column("text"), pa.string()), "")
+    t = pa.table({"conv_id": t.column("conv_id"), "text": text, "ts": t.column("ts")})
+    # single-threaded hash aggregation keeps first-appearance order: groups
+    # come out sorted by conv_id and each text list in turn order
+    g = t.group_by("conv_id", use_threads=False).aggregate([
+        ("text", "list"), ("text", "first"),
+        ("text", "count", pc.CountOptions(mode="all")),
+        ("ts", "min"), ("ts", "max"),
+    ])
+    doc = pc.binary_join(g.column("text_list"), sep)
+    return pa.table({
+        "conv_id": g.column("conv_id"),
+        "doc": doc,
+        "head": g.column("text_first"),
+        "n_turns": pc.cast(g.column("text_count"), pa.int64()),
+        "n_chars": pc.cast(pc.utf8_length(doc), pa.int64()),
+        "ts_min": g.column("ts_min"),
+        "ts_max": g.column("ts_max"),
+    })
 
 
 def canonicalize(
@@ -72,5 +82,5 @@ def canonicalize(
             _add_bucket, fn_kwargs={"num_buckets": num_buckets}, batch_format="pyarrow"
         )
         .groupby("_bucket")
-        .map_groups(_canon_bucket, fn_kwargs={"sep": sep}, batch_format="pandas")
+        .map_groups(_canon_bucket, fn_kwargs={"sep": sep}, batch_format="pyarrow")
     )

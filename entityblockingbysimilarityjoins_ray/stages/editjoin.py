@@ -49,7 +49,7 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions import sims as S
-from ..functions.hashing import bipartite_pairs, bucket_of, get_broadcast
+from ..functions.hashing import PROBE_CHUNK, bipartite_pairs, bucket_of, get_broadcast, probe_pairs
 
 _U64 = np.uint64
 _BASE = 0x100000001B3  # odd, so invertible mod 2^64
@@ -57,7 +57,7 @@ _BASE_INV = pow(_BASE, -1, 1 << 64)
 _ROLES = {"self": (("index", 0), ("probe_le", 1)),
           "index": (("index", 0),),
           "probe": (("probe_all", 1),)}
-_PROBE_CHUNK = 262_144  # raw candidates per probe expansion (_iter_triangle_chunks' budget)
+_PROBE_CHUNK = PROBE_CHUNK  # read per call, so tests can shrink it
 
 
 def _segments(length: int, k: int) -> list[tuple[int, int]]:
@@ -235,32 +235,6 @@ def _strs(t: pa.Table, col: str) -> np.ndarray:
     return np.asarray(t.column(col).to_numpy(zero_copy_only=False), dtype=object)
 
 
-def _check_unique(ids: np.ndarray, table: str) -> None:
-    dup = pd.Index(ids).duplicated()
-    if dup.any():
-        raise ValueError(f"edit join: conv_id {ids[dup.argmax()]!r} occurs more "
-                         f"than once in table {table}")
-
-
-def _expand(row, lo, cnt, chunk: int):
-    """Yield ``(e, r, cut)`` chunks of the raw candidate space — emission
-    ``e``'s match at sorted-index position ``r`` — of at most ``chunk``
-    pairs, cut between probe records (``row`` ascending) unless one record
-    alone exceeds it; ``cut`` says the chunk ends inside a record."""
-    end = np.cumsum(cnt)
-    rec_end = end[np.flatnonzero(np.r_[row[1:] != row[:-1], True])] if row.size else end
-    total = int(end[-1]) if end.size else 0
-    p0 = 0
-    while p0 < total:
-        k = int(np.searchsorted(rec_end, p0 + chunk, "right"))
-        cut = k == 0 or rec_end[k - 1] <= p0
-        p1 = p0 + chunk if cut else int(rec_end[k - 1])
-        pos = np.arange(p0, p1)
-        e = np.searchsorted(end, pos, "right")
-        yield e, lo[e] + pos - (end[e] - cnt[e]), cut
-        p0 = p1
-
-
 def _edit_probe(t: pa.Table, *, ref, D: int, rs: bool, chunk: int) -> pa.Table:
     """Probe a batch of (conv_id, val) records against the broadcast index
     (see the module docstring); emits verified ``{id1, id2, sim}`` rows."""
@@ -271,24 +245,19 @@ def _edit_probe(t: pa.Table, *, ref, D: int, rs: bool, chunk: int) -> pa.Table:
     cnt = np.searchsorted(skeys, key, "right") - lo
     hit = cnt > 0
     row, lo, cnt = row[hit], lo[hit], cnt[hit]
-    nb = max(bids.size, 1)
-    out1, out2, outd = [np.empty(0, object)], [np.empty(0, object)], [np.empty(0)]
-    carry = np.empty(0, np.int64)  # codes seen of the record cut at the last chunk end
-    for e, r, cut in _expand(row, lo, cnt, chunk):
-        x, y = row[e], srows[r]
+
+    def keep(e, r, x, y):
         lx, ly = lens[x], blens[y]
-        keep = np.abs(lx - ly) <= D
+        k = np.abs(lx - ly) <= D
         if not rs:  # keep a self pair only from its longer / larger-id record
-            keep &= ly <= lx
-            eq = np.flatnonzero(keep & (ly == lx))
-            keep[eq] = bids[y[eq]] < ids[x[eq]]
-        code = np.unique(x[keep] * nb + y[keep])
-        if carry.size:
-            code = code[~np.isin(code, carry)]
-        last = x[-1] if cut else -1
-        carry = np.union1d(carry[carry // nb == last], code[code // nb == last])
-        xs, ys = code // nb, code % nb
-        d = S.lev_dist_batch(vals[xs], bvals[ys]) if code.size else np.empty(0, np.int64)
+            k &= ly <= lx
+            eq = np.flatnonzero(k & (ly == lx))
+            k[eq] = bids[y[eq]] < ids[x[eq]]
+        return k
+
+    out1, out2, outd = [np.empty(0, object)], [np.empty(0, object)], [np.empty(0)]
+    for xs, ys in probe_pairs(row, lo, cnt, srows, bids.size, keep, chunk):
+        d = S.lev_dist_batch(vals[xs], bvals[ys]) if xs.size else np.empty(0, np.int64)
         ok = d <= D
         a, b = ids[xs[ok]], bids[ys[ok]]
         if not rs:
@@ -319,27 +288,19 @@ def _edit_join(docs_a, docs_b, attr: str, D: int, cfg: PipelineConfig,
     """The self (``docs_b is None``) or RS edit join on either plan, gated
     like setsim_rs_join: count and bytes of the input datasets (both free
     when those are materialized)."""
-    from .verify import collect_arrow, should_broadcast
+    from .verify import broadcast_gate, check_unique_ids, collect_arrow
 
     rs = docs_b is not None
-    sides = [docs_a, docs_b] if rs else [docs_a]
-    if n_records is None:
-        n_records = sum(d.count() for d in sides)
-    try:
-        sz = sum(d.size_bytes() for d in sides)
-    except Exception:
-        sz = None
     proj_a = _proj(docs_a, attr)
-    if should_broadcast(None, n_records, cfg.broadcast_limit,
-                        cfg.broadcast_bytes_limit, size_bytes=sz):
+    if broadcast_gate([docs_a, docs_b] if rs else [docs_a], n_records, cfg):
         # ONE collect: the index side's (conv_id, val) and, for RS, A's ids
         # (null val) for the duplicate check
         tbl = collect_arrow(_proj(docs_b, attr).union(_proj(docs_a, None)) if rs else proj_a)
         ids, vals = _strs(tbl, "conv_id"), _strs(tbl, "val")
         on_a = pd.isna(vals) if rs else np.zeros(ids.size, bool)
-        _check_unique(ids[on_a], "A")
+        check_unique_ids(ids[on_a], "A")
         bids, bvals = ids[~on_a], vals[~on_a]
-        _check_unique(bids, "B" if rs else "A")
+        check_unique_ids(bids, "B" if rs else "A")
         row, key, _, blens = _edit_signatures(bvals, D, _ROLES["index"])
         order = np.argsort(key, kind="stable")
         ref = ray.put((bids, bvals, blens, key[order], row[order]))

@@ -6,9 +6,10 @@ vectorized stage.  Two physical plans behind one gate (should_broadcast,
 records AND bytes):
 
 - **broadcast**: the token index is collected once, ``ray.put`` once, read
-  per worker (never re-shipped per batch); slim pre-deduped (k1, k2)
-  candidates stream through a balanced ``map_batches`` bitmap-overlap
-  verify.
+  per worker (never re-shipped per batch); the set-sim joins' prefix-index
+  probe (blocking._setsim_probe) verifies its distinct candidates inline
+  (verify_index_pairs), and ``{id1, id2}`` candidate batches (verify_pairs)
+  stream through a ``map_batches`` bitmap-overlap verify.
 - **sharded grid** (beyond-broadcast): the index is written as Parquet
   shards keyed by ``hash(id) % S`` (a resumable, fingerprint-keyed store);
   candidates shuffle ONCE to (shard(k1), shard(k2)) grid cells and each
@@ -61,6 +62,19 @@ def should_broadcast(ds, n_records: int, record_limit: int,
             "exceeds the bytes limit — using the join path", n_records, sz / 2**30)
         return False
     return True
+
+
+def broadcast_gate(sides: list, n_records: int | None, cfg) -> bool:
+    """should_broadcast over a join's input datasets (one, or A and B):
+    their summed count and bytes, both free when they are materialized."""
+    if n_records is None:
+        n_records = sum(d.count() for d in sides)
+    try:
+        sz = sum(d.size_bytes() for d in sides)
+    except Exception:
+        sz = None
+    return should_broadcast(None, n_records, cfg.broadcast_limit,
+                            cfg.broadcast_bytes_limit, size_bytes=sz)
 
 
 def collect_arrow(ds: "ray.data.Dataset") -> pa.Table:
@@ -238,7 +252,7 @@ def verify_pairs(
 
 
 # ---------------------------------------------------------------------------
-# hash-keyed verification (slim int-only candidate pipeline)
+# broadcast index verification (the set-sim probe's inline verify)
 # ---------------------------------------------------------------------------
 
 _IDH_INDEX_CACHE: dict = {}
@@ -259,18 +273,16 @@ def _hashed_ids(index: "pd.Index"):
 
 
 def _idh_token_index(toks_ref):
-    """Per-worker cache deriving a 64-bit-id-hash-keyed TWO-SIDED view of a
-    broadcast token index: ``(ha, ids_a, va, oa, hb, ids_b, vb, ob, m,
-    self_join)``.  An RS index (collect_token_index_rs) hashes each side; a
-    self index (collect_token_index) is its own B side — the same arrays,
-    hashed once.
+    """Per-worker cache of a TWO-SIDED view of a broadcast token index:
+    ``(ha, ids_a, va, oa, ids_b, vb, ob, m, self_join)``, ``ha`` the
+    id-hash Index of side A.  An RS index (collect_token_index_rs_with_df)
+    has two sides; a self index (collect_token_index) is its own B side —
+    the same arrays, hashed once.
 
-    int64 ``Index.get_indexer`` runs the vectorized integer hash path (~5x
-    faster than object-string lookups), and candidate pairs can be shuffled
-    as 16-byte (k1, k2) rows with id strings materialized only for
-    survivors.  Uniqueness of the id hashes is asserted — the pair pipeline
-    already keys dedup and self-pair exclusion on them (blocking._pairgen),
-    so a collision would corrupt results upstream of this stage anyway."""
+    A probe batch maps its ids to side-A rows through the id hashes: int64
+    ``Index.get_indexer`` runs the vectorized integer hash path (~5x faster
+    than object-string lookups).  Uniqueness of the id hashes is asserted —
+    a collision would hand one record another's tokens."""
     key = toks_ref.hex() if hasattr(toks_ref, "hex") else id(toks_ref)
     got = _IDH_INDEX_CACHE.get(key)
     if got is None:
@@ -282,8 +294,8 @@ def _idh_token_index(toks_ref):
         else:
             index_a, va, oa, index_b, vb, ob, m = idx
         ids_a, ha = _hashed_ids(index_a)
-        ids_b, hb = (ids_a, ha) if self_join else _hashed_ids(index_b)
-        got = (ha, ids_a, va, oa, hb, ids_b, vb, ob, m, self_join)
+        ids_b = ids_a if self_join else np.asarray(index_b.to_numpy(), dtype=object)
+        got = (ha, ids_a, va, oa, ids_b, vb, ob, m, self_join)
         # bounded FIFO: a long session running many joins must not pin every
         # past join's id/token arrays in every worker forever
         while len(_IDH_INDEX_CACHE) >= 4:
@@ -292,41 +304,32 @@ def _idh_token_index(toks_ref):
     return got
 
 
-_EMPTY_RULE_ROWS = pa.table({
+_EMPTY_ROWS = pa.table({
     "id1": pa.array([], pa.string()), "id2": pa.array([], pa.string()),
-    "sim": pa.array([], pa.float64()), "rule": pa.array([], pa.int32()),
-    "k1": pa.array([], pa.int64()), "k2": pa.array([], pa.int64()),
+    "sim": pa.array([], pa.float64()),
 })
 
 
-def hash_verify_rules(k1: np.ndarray, k2: np.ndarray, toks_ref,
-                      rules: list[tuple[str, float]],
-                      chunk: int = 16384) -> pa.Table:
-    """Verify (k1, k2) id-hash pairs against a broadcast token index (self
-    or RS, see _idh_token_index); emits {id1, id2, sim, rule, k1, k2} — one
-    row per (pair, passing rule), keys + rule index kept for survivor-level
-    bookkeeping.  Self-join ids are lex-canonicalized; RS pairs keep their
-    (A, B) order.  Verifying pre-deduped slim candidates streamed off pair
-    generation removes the all-candidate shuffle of id-carrying rows
-    (59M rows -> ~10^5 survivor rows at sf0.1).
+def verify_index_pairs(r1: np.ndarray, r2: np.ndarray, toks_ref,
+                       rules: list[tuple[str, float]],
+                       chunk: int = 16384) -> pa.Table:
+    """Exact verify of distinct index-row pairs (``r1`` on side A, ``r2`` on
+    side B) of a broadcast token index (self or RS, see _idh_token_index);
+    emits {id1, id2, sim}, one row per (pair, passing rule).  Self-join ids
+    are lex-canonicalized; RS pairs keep their (A, B) order.
 
     Processed in ``chunk``-sized slices so the partner-token gather
-    temporaries stay bounded regardless of bucket size."""
-    if k1.size > chunk:
-        parts = [hash_verify_rules(k1[i:i + chunk], k2[i:i + chunk], toks_ref,
-                                   rules, chunk=chunk)
-                 for i in range(0, k1.size, chunk)]
-        return pa.concat_tables(parts)
-    ha, ids_a, va, oa, hb, ids_b, vb, ob, m, self_join = _idh_token_index(toks_ref)
-    r1 = ha.get_indexer(k1)
-    r2 = hb.get_indexer(k2)
-    ok = (r1 >= 0) & (r2 >= 0)
-    r1, r2 = r1[ok], r2[ok]
-    k1, k2 = k1[ok], k2[ok]
+    temporaries stay bounded regardless of the caller's batch."""
+    if r1.size > chunk:
+        return pa.concat_tables([
+            verify_index_pairs(r1[i:i + chunk], r2[i:i + chunk], toks_ref, rules,
+                               chunk=chunk)
+            for i in range(0, r1.size, chunk)])
+    _, ids_a, va, oa, ids_b, vb, ob, m, self_join = _idh_token_index(toks_ref)
     ovlp = overlap_auto_two(va, oa, vb, ob, m, r1, r2)
     la, lb = np.diff(oa)[r1], np.diff(ob)[r2]
-    p1, p2, ps, pr, pk1, pk2 = [], [], [], [], [], []
-    for ri, (s_name, thr) in enumerate(rules):
+    p1, p2, ps = [], [], []
+    for s_name, thr in rules:
         s = _rule_sim(ovlp, la, lb, s_name)
         keep = s >= thr
         if not keep.any():
@@ -339,30 +342,23 @@ def hash_verify_rules(k1: np.ndarray, k2: np.ndarray, toks_ref,
         p1.append(a)
         p2.append(b)
         ps.append(s[keep])
-        pr.append(np.full(int(keep.sum()), ri, np.int32))
-        pk1.append(k1[keep])
-        pk2.append(k2[keep])
     if not p1:
-        return _EMPTY_RULE_ROWS
+        return _EMPTY_ROWS
     return pa.table({
         "id1": pa.array(np.concatenate(p1), pa.string()),
         "id2": pa.array(np.concatenate(p2), pa.string()),
         "sim": pa.array(np.concatenate(ps), pa.float64()),
-        "rule": pa.array(np.concatenate(pr), pa.int32()),
-        "k1": pa.array(np.concatenate(pk1), pa.int64()),
-        "k2": pa.array(np.concatenate(pk2), pa.int64()),
     })
 
 
-def hash_verify_rules_batch(batch: pa.Table, *, toks_ref,
-                            rules: list[tuple[str, float]]) -> pa.Table:
-    """map_batches wrapper of hash_verify_rules over slim {k1, k2} candidate
-    batches: streams DIRECTLY off the pair-generation operator (no shuffle in
-    between) while rebalancing the verify CPU across the whole pool — a hot
-    pair-gen bucket's candidates are verified by many tasks, not one."""
-    k1 = np.asarray(batch.column("k1"), dtype=np.int64)
-    k2 = np.asarray(batch.column("k2"), dtype=np.int64)
-    return hash_verify_rules(k1, k2, toks_ref, rules)
+def check_unique_ids(ids: np.ndarray, table: str) -> None:
+    """Raise ValueError naming the first id that occurs twice in ``ids``:
+    the joins key records by id (hash), so a duplicate would otherwise
+    surface later as a misleading id-hash collision or a lost pair."""
+    dup = pd.Index(ids).duplicated()
+    if dup.any():
+        raise ValueError(f"conv_id {ids[dup.argmax()]!r} occurs more than once "
+                         f"in table {table}")
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +377,16 @@ def _ids_and_toks(tbl: pa.Table):
     return ids, vals, offs
 
 
-def collect_token_index_rs(toks_a: "ray.data.Dataset", toks_b: "ray.data.Dataset"):
-    """Two-table broadcast index: both sides' token hashes relabeled into ONE
-    dense space so the bitmap kernel works across tables."""
-    return collect_token_index_rs_with_df(toks_a, toks_b)[0]
-
-
 def collect_token_index_rs_with_df(toks_a: "ray.data.Dataset",
                                    toks_b: "ray.data.Dataset",
                                    min_df: int = 2):
-    """collect_token_index_rs + the COMBINED-dictionary df table (unique +
-    counts over both sides' already-deduped bags) derived FREE from the same
-    collect — the RS twin of collect_token_index_with_df: under the
-    broadcast gate the distributed df pass over A ∪ B (one extra union +
-    sort shuffle) is skipped entirely.  Returns (index_tuple,
+    """Two-table broadcast index — both sides' token hashes relabeled into
+    ONE dense space so the bitmap kernel works across tables — plus the
+    COMBINED-dictionary df table (unique + counts over both sides'
+    already-deduped bags) derived FREE from the same collect: the RS twin of
+    collect_token_index_with_df, so under the broadcast gate the distributed
+    df pass over A ∪ B (one extra union + sort shuffle) is skipped entirely.
+    Returns ((index_a, labels_a, offs_a, index_b, labels_b, offs_b, m),
     (df_toks_sorted, df_vals))."""
     ta = collect_arrow(toks_a.select_columns(["conv_id", "toks"]))
     tb = collect_arrow(toks_b.select_columns(["conv_id", "toks"]))

@@ -445,15 +445,10 @@ def setsim_rs_join_weighted(
     through the sharded grid (verify.grid_verify, _weighted_cell) — only the
     vocabulary-sized wordwt table stays broadcast, which the signature stage
     requires anyway."""
-    from .verify import _hashed_ids, should_broadcast
+    from .verify import _hashed_ids, broadcast_gate
 
     n = toks_a.count() + toks_b.count()
-    try:
-        sz = toks_a.size_bytes() + toks_b.size_bytes()
-    except Exception:
-        sz = None
-    broadcast = should_broadcast(None, n, cfg.broadcast_limit,
-                                 cfg.broadcast_bytes_limit, size_bytes=sz)
+    broadcast = broadcast_gate([toks_a, toks_b], n, cfg)
     idx = None
     if broadcast:
         idx = (weighted_token_index(toks_a), weighted_token_index(toks_b))

@@ -5,6 +5,8 @@ Reference workload: every test/exp/*.py experiment is A x B record linkage
 Oracle = O(|A| x |B|) nested loop with the pure-python sim mirrors.
 """
 
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -212,3 +214,158 @@ def test_setsim_rs_broadcast_and_sharded_paths_identical(tiny_docs):
     kb = sh.sort_values(["id1", "id2"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(ka[["id1", "id2"]], kb[["id1", "id2"]])
     np.testing.assert_allclose(ka["sim"].to_numpy(), kb["sim"].to_numpy(), atol=1e-12)
+
+
+def _hot_docs(n=600, m=120):
+    """n records over six tokens every one of them carries plus a unique
+    token: each record's prefix holds three of the six, so its raw probe
+    candidates outnumber a 500-pair chunk and every pair met under the first
+    two is met again past a chunk end.  m further records share two of the
+    six and mid-df tokens among themselves, at sims on both sides of each
+    threshold."""
+    docs = [f"h1 h2 h3 h4 h5 h6 u{i}" for i in range(n)]
+    docs += [f"h1 h2 m{(j // 2) % 2} w{j % 3} v{j} z{j}" for j in range(m)]
+    return pd.DataFrame({"conv_id": [f"r{i:04d}" for i in range(n + m)], "doc": docs})
+
+
+def _brute(a, b, sim, threshold):
+    """All pairs passing (sim, threshold): (A, B) pairs, or id-ordered
+    self pairs when ``b`` is None."""
+    import math
+
+    def bags(df):
+        return [(c, frozenset(oracle_tokens(d, "dlm"))) for c, d in zip(df["conv_id"], df["doc"])]
+
+    ba = bags(a)
+    pairs = (itertools.combinations(ba, 2) if b is None
+             else itertools.product(ba, bags(b)))
+    out = set()
+    for (i, x), (j, y) in pairs:
+        o = len(x & y)
+        s = {"jac": o / (len(x) + len(y) - o) if x or y else 1.0,
+             "dice": 2 * o / (len(x) + len(y)) if x or y else 1.0,
+             "cos": o / math.sqrt(len(x) * len(y)) if x and y else float(not x and not y),
+             "overlap": o}[sim]
+        if s >= threshold:
+            out.add((min(i, j), max(i, j)) if b is None else (i, j))
+    return out
+
+
+def _pairs(ds):
+    """The join's pair set, asserting each pair is emitted once."""
+    df = ds.to_pandas()
+    got = set(zip(df["id1"], df["id2"]))
+    assert len(got) == len(df)
+    return got
+
+
+GRID = dict(broadcast_limit=0, broadcast_bytes_limit=0, verify_shards=3)
+
+
+@pytest.mark.parametrize("sim,threshold", [("jac", 0.5), ("dice", 0.6), ("overlap", 4)])
+def test_setsim_hot_token_chunked_probe(ray_session, monkeypatch, sim, threshold):
+    """600 records sharing hot tokens with the probe chunk at 500 pairs: a
+    record's raw candidates straddle chunks, and its seen pairs must carry
+    across them.  Self and RS joins equal brute force on both plans."""
+    monkeypatch.setattr(B, "_PROBE_CHUNK", 500)
+    df = _hot_docs()
+    a, b = df.iloc[::2].reset_index(drop=True), df.iloc[1::2].reset_index(drop=True)
+    toks = B.tokenize_docs(ray.data.from_pandas(df), "doc", "dlm").materialize()
+    toks_a = B.tokenize_docs(ray.data.from_pandas(a), "doc", "dlm").materialize()
+    toks_b = B.tokenize_docs(ray.data.from_pandas(b), "doc", "dlm").materialize()
+    exp_self, exp_rs = _brute(df, None, sim, threshold), _brute(a, b, sim, threshold)
+    assert len(exp_self) > 600 * 599 // 2 and len(exp_rs) > 300 * 300
+    for cfg in (_cfg(), _cfg(**GRID)):
+        assert _pairs(B.setsim_self_join(toks, sim=sim, threshold=threshold,
+                                         cfg=cfg)) == exp_self
+        assert _pairs(B.setsim_rs_join(toks_a, toks_b, sim=sim, threshold=threshold,
+                                       cfg=cfg)) == exp_rs
+
+
+def test_setsim_rs_length_range_clamp(ray_session):
+    """Probe records longer than every index record (either table in turn)
+    get an empty posting range instead of one reaching the next token's
+    postings, and the joins still equal brute force on both plans."""
+    rng = np.random.default_rng(7)
+    vocab = [f"w{i}" for i in range(24)]
+
+    def table(prefix, n, max_len, n_long, long_len):
+        lens = list(rng.integers(1, max_len + 1, n)) + [long_len] * n_long
+        docs = [" ".join(rng.choice(vocab, size=l, replace=False)) for l in lens]
+        return pd.DataFrame({"conv_id": [f"{prefix}{i:03d}" for i in range(len(docs))],
+                             "doc": docs})
+
+    a, b = table("a", 80, 8, 3, 22), table("b", 80, 10, 0, 0)
+    ta = B.tokenize_docs(ray.data.from_pandas(a), "doc", "dlm").materialize()
+    tb = B.tokenize_docs(ray.data.from_pandas(b), "doc", "dlm").materialize()
+    for sim, thr in (("jac", 0.5), ("cos", 0.6)):
+        for (x, tx), (y, ty) in (((a, ta), (b, tb)), ((b, tb), (a, ta))):
+            exp = _brute(x, y, sim, thr)
+            assert exp
+            for cfg in (_cfg(), _cfg(**GRID)):
+                assert _pairs(B.setsim_rs_join(tx, ty, sim=sim, threshold=thr,
+                                               cfg=cfg)) == exp
+
+
+def test_posting_ranges_stay_in_token():
+    """Each range covers exactly its token's postings of eligible length —
+    never the next token's — for probe lengths far past the longest
+    indexed record, on self and RS bounds and without a length filter."""
+    M = 6
+    tok_k, len_k = np.meshgrid(np.arange(4), np.arange(1, M), indexing="ij")
+    skeys = np.sort(np.repeat(tok_k.ravel() * M + len_k.ravel(), 2))
+    tok = np.repeat(np.arange(4), 20)
+    l = np.tile(np.arange(1, 21), 4)
+    for alpha in (0.5, 0.8, None):
+        for self_join in (True, False):
+            start, cnt = B._posting_ranges(skeys, M, tok, l, alpha, self_join)
+            for t, n, s0, c in zip(tok, l, start, cnt):
+                got = skeys[s0:s0 + c]
+                lens = skeys[skeys // M == t] % M
+                if alpha is None:
+                    ok = lens <= n if self_join else lens >= 0
+                else:
+                    ok = (lens >= alpha * n - 1e-9) & (
+                        (lens <= n) if self_join else (alpha * lens <= n + 1e-9))
+                assert (got // M == t).all()
+                assert sorted(got % M) == sorted(lens[ok])
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_setsim_joins_reject_duplicate_ids(ray_session, side):
+    """A duplicated id on either table raises on the driver, naming it —
+    not a misleading id-hash collision from inside a task."""
+    a = pd.DataFrame({"conv_id": ["a1", "a2", "a3"], "doc": ["x y", "y z", "x z"]})
+    b = pd.DataFrame({"conv_id": ["b1", "b1"], "doc": ["x y", "y z"]})
+    if side == "A":
+        a.loc[2, "conv_id"], b.loc[1, "conv_id"] = "a1", "b2"
+    ta = B.tokenize_docs(ray.data.from_pandas(a), "doc", "dlm")
+    tb = B.tokenize_docs(ray.data.from_pandas(b), "doc", "dlm")
+    dup = "a1" if side == "A" else "b1"
+    with pytest.raises(ValueError, match=f"'{dup}'.*table {side}"):
+        B.setsim_rs_join(ta, tb, sim="jac", threshold=0.5, cfg=_cfg())
+    if side == "A":
+        with pytest.raises(ValueError, match="'a1'.*table A"):
+            B.setsim_self_join(ta, sim="jac", threshold=0.5, cfg=_cfg())
+
+
+def test_setsim_rs_broadcast_runs_no_shuffle(tiny_docs, monkeypatch):
+    """The broadcast RS join probes B's prefix postings in map_batches:
+    with Dataset.groupby / sort refusing, it still equals the grid plan."""
+    _, pdocs = tiny_docs
+    a, b = _split(pdocs)
+    toks_a = B.tokenize_docs(ray.data.from_pandas(a), "doc", "dlm").materialize()
+    toks_b = B.tokenize_docs(ray.data.from_pandas(b), "doc", "dlm").materialize()
+    exp = B.setsim_rs_join(toks_a, toks_b, sim="jac", threshold=0.5,
+                           cfg=_cfg(**GRID)).to_pandas()
+
+    def refuse(*a, **k):
+        raise AssertionError("the broadcast set-sim join must not shuffle")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", refuse)
+    monkeypatch.setattr(ray.data.Dataset, "sort", refuse)
+    got = B.setsim_rs_join(toks_a, toks_b, sim="jac", threshold=0.5, cfg=_cfg()).to_pandas()
+    key = ["id1", "id2", "sim"]
+    pd.testing.assert_frame_equal(
+        got[key].round(12).sort_values(key).reset_index(drop=True),
+        exp[key].round(12).sort_values(key).reset_index(drop=True))
