@@ -74,8 +74,8 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     # candidate gen + exact verify for its bucket, so fine partitions are the
     # straggler control (swept at sf0.1: 2048 beats 256 by ~1.6x at 32 cpus)
     pair_parts = max(256, num_cpus * 64)
-    # GRAFT_BROADCAST_LIMIT=0 forces every broadcast-or-hash_join switch onto
-    # the join path — the beyond-broadcast family a 100 TB run actually takes
+    # GRAFT_BROADCAST_LIMIT=0 forces every broadcast gate onto its join
+    # path — the beyond-broadcast family a 100 TB run actually takes
     bl = os.environ.get("GRAFT_BROADCAST_LIMIT")
     bl_kw = (
         {"broadcast_limit": int(bl), "broadcast_bytes_limit": int(bl)}

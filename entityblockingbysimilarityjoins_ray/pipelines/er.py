@@ -270,7 +270,9 @@ def run_pipeline(
     else:
         candidates = cand_factory().materialize()
 
-    feats = extract_features(candidates, docs, feature_specs)
+    feats = extract_features(candidates, docs, feature_specs,
+                             broadcast_limit=cfg.broadcast_limit,
+                             n_records=docs.count())
     cols = score_cols or [s.name for s in feature_specs if s.sim in ("jac", "cos", "dice")]
 
     fp_match = fingerprint(fp_blk, cols, cfg.match_threshold)

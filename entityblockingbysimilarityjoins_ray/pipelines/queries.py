@@ -102,9 +102,10 @@ def _docs(sf_dir: str, subset: bool):
 
 
 def _broadcast_limit_env() -> int | None:
-    """GRAFT_BROADCAST_LIMIT=0 forces every broadcast-or-hash_join switch
-    onto the join path (the beyond-broadcast 100x-scale path) so the driver
-    oracle gate and the bench can exercise it end-to-end."""
+    """GRAFT_BROADCAST_LIMIT=0 forces every broadcast gate (verify, set-sim
+    and edit joins, attach_pairs) onto its join path (the beyond-broadcast
+    100x-scale path) so the oracle tests and the bench can exercise it
+    end-to-end."""
     v = os.environ.get("GRAFT_BROADCAST_LIMIT")
     return int(v) if v is not None else None
 
@@ -719,37 +720,16 @@ SELECT src AS conv_id, min(dst) AS entity_id FROM reach GROUP BY src"""
 
 def q_megallen_wide(sf_dir: str):
     """Megallen wide pair table (io.cc:989-1069 format): jac pairs joined
-    back to both sides' attributes via Dataset.join."""
+    back to both sides' attributes by ``enrich_pairs``."""
+    from ..stages.writers import enrich_pairs
+
     d = _docs(sf_dir, subset=True).materialize()
     toks = B.tokenize_docs(d, "doc", "dlm").materialize()
-    pairs = B.setsim_self_join(toks, sim="jac", threshold=0.5, cfg=_cfg())
-    attrs = d.select_columns(["conv_id", "head", "n_turns"])
-
-    def ren(ds, prefix):
-        def f(t: pa.Table) -> pa.Table:
-            return t.rename_columns([f"{prefix}{c}" for c in t.column_names])
-
-        return ds.map_batches(f, batch_format="pyarrow")
-
-    from ..stages.joins import hash_join
-
-    a = ren(attrs, "l_")
-    b = ren(attrs, "r_")
-    j = hash_join(
-        pairs.select_columns(["id1", "id2"]), a, on="id1", right_on="l_conv_id", num_partitions=8
-    )
-    j = hash_join(j, b, on="id2", right_on="r_conv_id", num_partitions=8)
-    return j.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "ltable_id": df["id1"], "rtable_id": df["id2"],
-                "ltable_head": df["l_head"], "rtable_head": df["r_head"],
-                "ltable_n_turns": df["l_n_turns"].astype(np.int64),
-                "rtable_n_turns": df["r_n_turns"].astype(np.int64),
-            }
-        ),
-        batch_format="pandas",
-    )
+    cfg = _cfg()
+    pairs = B.setsim_self_join(toks, sim="jac", threshold=0.5, cfg=cfg)
+    wide = enrich_pairs(pairs.select_columns(["id1", "id2"]), d, ["head", "n_turns"],
+                        num_partitions=8, broadcast_limit=cfg.broadcast_limit)
+    return wide.rename_columns({"id1": "ltable_id", "id2": "rtable_id"})
 
 
 SQL_MEGALLEN_WIDE = f"""WITH {_DOCS_CTE}, {_SUB_CTE}, {_TOKS_CTE}, {_SIZES_CTE}, {_INTER_CTE}, {_PAIR_SIMS},

@@ -309,9 +309,9 @@ def minhash_lsh_dedup(
     Output pairs all satisfy jac >= threshold (precision exact); recall is
     the LSH band probability (documented, not silent).  Candidates are
     generated exactly once (first-agreeing-band rule), so there is no global
-    pair-dedup shuffle; verification joins candidates back to distributed
-    token sets via the broadcast-or-hash_join switch (scale-safe — no
-    full-corpus driver collect above ``broadcast_limit``)."""
+    pair-dedup shuffle; verification runs ``verify_pairs`` against the
+    distributed token sets (broadcast index under the gate, the sharded
+    grid beyond — no full-corpus driver collect above ``broadcast_limit``)."""
     sigs = docs.map_batches(
         _minhash_bands,
         fn_kwargs=dict(id_col=id_col, text_col=text_col, tok=tok, q=q,
@@ -493,9 +493,9 @@ def embedding_dup_pairs(
       keys are computed per batch in map_batches, candidate pairs come from
       per-(band, key) bucket groupbys OR-ed across bands (banded
       random-hyperplane LSH), cross-band duplicates collapse in an int-keyed
-      ``dedupe_pairs`` shuffle, and the exact cosine verify runs through the
-      broadcast-or-hash_join switch — the embedding matrix is never
-      collected on the driver above ``broadcast_limit``.
+      ``dedupe_pairs`` shuffle, and the exact cosine verify runs through
+      ``joins.attach_pairs`` — the embedding matrix is never collected on
+      the driver above ``broadcast_limit``.
 
       Recall = 1 - (1 - p^band_bits)^n_bands with p = 1 - theta/pi
       (< 1 by construction, precision exact via the verify).  The defaults
@@ -533,7 +533,7 @@ def embedding_dup_pairs(
             block_fn, batch_format="pyarrow", batch_size=1024
         )
 
-    # ---- LSH mode: distributed banded signing + broadcast-or-join verify --
+    # ---- LSH mode: distributed banded signing + attach_pairs verify -------
     dim = _embedding_dim(emb, vec_col)
     rng = np.random.default_rng(seed)
     planes_ref = ray.put(rng.normal(size=(dim, n_bands * band_bits)))
@@ -573,58 +573,24 @@ def embedding_dup_pairs(
 
     cands = dedupe_pairs(cands, num_partitions)
 
-    if n_records is None:
-        n_records = emb.count()
-    from .verify import should_broadcast
+    from .joins import PairKernel, attach_pairs
 
-    if should_broadcast(emb, n_records, broadcast_limit):
-        from .verify import collect_arrow
+    def load(tbl: pa.Table) -> np.ndarray:
+        M = _vec_matrix(tbl.column(vec_col), tbl.num_rows)
+        return M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-30)
 
-        tbl = collect_arrow(emb.select_columns([id_col, vec_col]))
-        ids = np.asarray(tbl.column(id_col).to_numpy(zero_copy_only=False))
-        M = _vec_matrix(tbl.column(vec_col), len(ids))
-        Mn = M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-30)
-        ref = ray.put((pd.Index(ids), Mn))
-
-        def verify_fn(df: pd.DataFrame) -> pd.DataFrame:
-            pos, Mn = get_broadcast(ref)
-            if not len(df):
-                return pd.DataFrame({"id1": pd.Series(dtype=object),
-                                     "id2": pd.Series(dtype=object),
-                                     "sim": pd.Series(dtype=float)})
-            r1 = pos.get_indexer(df["id1"])
-            r2 = pos.get_indexer(df["id2"])
-            sim = np.einsum("ij,ij->i", Mn[r1], Mn[r2])
-            keep = sim >= threshold
-            return pd.DataFrame({"id1": df["id1"][keep], "id2": df["id2"][keep],
-                                 "sim": sim[keep]})
-
-        return cands.map_batches(verify_fn, batch_format="pandas")
-
-    # join-path verify: both sides large — two hash-partitioned shuffles,
-    # the embedding matrix never leaves the workers
-    from .joins import hash_join
-
-    def ren(idname, vname):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({idname: t.column(id_col), vname: t.column(vec_col)})
-
-        return f
-
-    e1 = emb.map_batches(ren("cid1", "v1"), batch_format="pyarrow")
-    e2 = emb.map_batches(ren("cid2", "v2"), batch_format="pyarrow")
-    j = hash_join(cands, e1, on="id1", right_on="cid1", num_partitions=num_partitions)
-    j = hash_join(j, e2, on="id2", right_on="cid2", num_partitions=num_partitions)
-
-    def cos_batch(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        A = _vec_matrix(t.column("v1"), n)
-        B = _vec_matrix(t.column("v2"), n)
-        An = A / np.maximum(np.linalg.norm(A, axis=1, keepdims=True), 1e-30)
-        Bn = B / np.maximum(np.linalg.norm(B, axis=1, keepdims=True), 1e-30)
-        sim = np.einsum("ij,ij->i", An, Bn) if n else np.zeros(0)
+    def cos_apply(Mn: np.ndarray, t: pa.Table, r1: np.ndarray, r2: np.ndarray) -> pa.Table:
+        ok = (r1 >= 0) & (r2 >= 0)
+        sim = np.einsum("ij,ij->i", Mn[r1[ok]], Mn[r2[ok]])
         keep = sim >= threshold
-        out = t.select(["id1", "id2"]).filter(pa.array(keep))
+        out = t.select(["id1", "id2"]).filter(pa.array(ok)).filter(pa.array(keep))
         return out.append_column("sim", pa.array(sim[keep], pa.float64()))
 
-    return j.map_batches(cos_batch, batch_format="pyarrow")
+    vecs = emb.select_columns([id_col, vec_col])
+    if id_col != "conv_id":
+        vecs = vecs.rename_columns({id_col: "conv_id"})
+    # the embedding matrix is collected on the driver only under the gate
+    return attach_pairs(
+        cands, vecs, PairKernel(load, cos_apply), broadcast_limit=broadcast_limit,
+        n_records=n_records if n_records is not None else emb.count(),
+        num_partitions=num_partitions)

@@ -373,7 +373,7 @@ def lev_sim_self_join(
 ) -> "ray.data.Dataset":
     """All pairs with NORMALIZED Levenshtein similarity
     ``1 - d / max(|a|, |b|) >= s`` — the feature-domain lev
-    (features._extract_batch), which a ``lev_sim`` blocking rule from a
+    (features._features_from_rows), which a ``lev_sim`` blocking rule from a
     reference feature file thresholds (graph.py sort_ranges2).
 
     A fixed-distance PassJoin cannot take a normalized threshold directly.
@@ -476,58 +476,33 @@ def lev_sim_self_join(
             for p in parts[1:]:
                 pairs = pairs.union(p)
 
+    from .blocking import survivor_partitions
+    from .joins import PairKernel, attach_pairs
+
     lens = proj.map_batches(
         lambda t: pa.table({
-            "cid": t.column("conv_id"),
+            "conv_id": t.column("conv_id"),
             "len": pc.cast(pc.utf8_length(pc.cast(t.column("val"), pa.string())), pa.int64()),
         }),
         batch_format="pyarrow",
     )
 
-    def to_sim(d: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-        mx = np.maximum(la, lb).astype(np.float64)
+    def filt(ln: np.ndarray, t: "pa.Table", r1: np.ndarray, r2: np.ndarray) -> "pa.Table":
+        ok = (r1 >= 0) & (r2 >= 0)
+        t = t.filter(pa.array(ok))
+        mx = np.maximum(ln[r1[ok]], ln[r2[ok]]).astype(np.float64)
+        d = np.asarray(t.column("sim"), dtype=np.float64)
         # empty-vs-empty -> 1.0, matching the lev feature kernel
-        return np.where(mx > 0, 1.0 - d / np.maximum(mx, 1.0), 1.0)
-
-    if n_records <= cfg.broadcast_limit:
-        lt = lens.to_pandas()
-        lmap = pd.Series(lt["len"].to_numpy(np.int64),
-                         index=pd.Index(lt["cid"].astype(str)))
-        ref = ray.put(lmap)
-        from ..functions.hashing import get_broadcast
-
-        def filt(df: pd.DataFrame) -> pd.DataFrame:
-            m = get_broadcast(ref)
-            la = m.reindex(df["id1"].astype(str)).to_numpy(np.float64)
-            lb = m.reindex(df["id2"].astype(str)).to_numpy(np.float64)
-            sim = to_sim(df["sim"].to_numpy(np.float64), la, lb)
-            out = df[sim >= s - 1e-12].copy()
-            out["sim"] = sim[sim >= s - 1e-12]
-            return out
-
-        return pairs.map_batches(filt, batch_format="pandas")
-
-    from .blocking import survivor_partitions
-    from .joins import hash_join
-    from .verify import _rename
+        sim = np.where(mx > 0, 1.0 - d / np.maximum(mx, 1.0), 1.0)
+        keep = sim >= s - 1e-12
+        t = t.filter(pa.array(keep))
+        i = t.column_names.index("sim")
+        return t.set_column(i, "sim", pa.array(sim[keep], pa.float64()))
 
     # verified pairs are survivor-scale — join at the survivor fan-out, not
     # the raw pairgen fan-out
-    l1 = _rename(lens, {"cid": "cid1", "len": "len1"})
-    l2 = _rename(lens, {"cid": "cid2", "len": "len2"})
-    j = hash_join(pairs, l1, on="id1", right_on="cid1",
-                  num_partitions=survivor_partitions(cfg))
-    j = hash_join(j, l2, on="id2", right_on="cid2",
-                  num_partitions=survivor_partitions(cfg))
-
-    def filt_j(t: "pa.Table") -> "pa.Table":
-        d = np.asarray(t.column("sim"), dtype=np.float64)
-        la = np.asarray(t.column("len1"), dtype=np.float64)
-        lb = np.asarray(t.column("len2"), dtype=np.float64)
-        sim = to_sim(d, la, lb)
-        keep = sim >= s - 1e-12
-        out = t.drop_columns(["len1", "len2"]).filter(pa.array(keep))
-        i = out.column_names.index("sim")
-        return out.set_column(i, "sim", pa.array(sim[keep], pa.float64()))
-
-    return j.map_batches(filt_j, batch_format="pyarrow")
+    return attach_pairs(
+        pairs, lens,
+        PairKernel(lambda tbl: np.asarray(tbl.column("len"), dtype=np.int64), filt),
+        broadcast_limit=cfg.broadcast_limit, n_records=n_records,
+        num_partitions=survivor_partitions(cfg))

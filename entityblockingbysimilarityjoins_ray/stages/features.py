@@ -4,9 +4,9 @@ Rebuilds the reference's declarative feature generation — the cross product
 {attrs} x {sim funcs} x {tokenizers} filtered by attribute type
 (/root/reference/simjoin_entitymatching/feature/feature_base.py:30-34,142-...;
 C++ fast path /root/reference/cpp/feature/cal_feature.cc:300-517) — as ONE
-actor-pool ``map_batches`` over candidate-pair batches: the actor holds every
-needed token index / attribute column (broadcast once per actor), and each
-feature is a vectorized kernel over the whole batch.
+``joins.attach_pairs`` kernel over candidate-pair batches: its state holds
+every needed token column / raw attribute of the records, and each feature
+is a vectorized kernel over the whole batch.
 
 Feature naming follows the reference grammar ``attr_sim_tok``
 (graph.py:296-302), e.g. ``doc_jac_dlm``, ``head_lev_none``.
@@ -28,7 +28,7 @@ import ray.data
 
 from ..functions import sims as S
 from ..functions.hashing import get_broadcast
-from .verify import gather_lists
+from .joins import PairKernel, attach_pairs
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,12 @@ def _feature_columns(t: pa.Table, specs) -> pa.Table:
     return pa.table(out)
 
 
-def _build_state(tbl: pa.Table, specs, ids=None) -> dict:
-    """Broadcast state from the collected feature-column table: token hashes
-    relabeled ONCE to a dense [0, m) space per column so the per-batch verify
-    kernel is a single fused-int binary search (no per-batch np.unique).
-    ``ids`` overrides the index values (the grouped join path keys records
-    by int64 id-hash instead of the id strings)."""
-    if ids is None:
-        ids = np.asarray(tbl.column("conv_id").to_numpy(zero_copy_only=False), dtype=object)
-    state: dict = {"index": pd.Index(ids)}
+def _build_state(tbl: pa.Table, specs) -> dict:
+    """Per-record feature state from a feature-column table: token hashes
+    relabeled ONCE to a dense [0, m) space per column so the per-pair
+    overlap kernel is a single fused-int binary search (no per-batch
+    np.unique)."""
+    state: dict = {}
     needed_tok, needed_raw = _needed(specs)
     for attr, tok, q in needed_tok:
         vals, offs = S.flatten_lists(tbl.column(_tok_col(attr, tok, q)))
@@ -111,36 +108,31 @@ def _build_state(tbl: pa.Table, specs, ids=None) -> dict:
     return state
 
 
-def _extract_batch(batch: pa.Table, *, state_ref, specs) -> pa.Table:
-    """Stateless feature task: doc state fetched once per worker process.
+def _feature_kernel(specs, load_specs=None) -> PairKernel:
+    """The attach_pairs kernel of extract_features: state from the records'
+    feature columns (``load_specs``, default ``specs``), output {id1, id2,
+    one float64 column per spec}; pairs with an unknown id are dropped.
 
     Reference analogue: extractFeatures4Matching per chunk table
-    (/root/reference/cpp/feature/feature.cc:242-334), minus the
-    interchangeable-group max-over-members path (v2)."""
-    state = get_broadcast(state_ref)
+    (the reference's cpp/feature/feature.cc:242-334)."""
     specs = list(specs)
-    if batch.num_rows == 0:
-        cols = {"id1": pa.array([], pa.string()), "id2": pa.array([], pa.string())}
-        for s in specs:
-            cols[s.name] = pa.array([], pa.float64())
-        return pa.table(cols)
-    ids1 = np.asarray(batch.column("id1").to_numpy(zero_copy_only=False), dtype=object)
-    ids2 = np.asarray(batch.column("id2").to_numpy(zero_copy_only=False), dtype=object)
-    idx = state["index"]
-    r1 = idx.get_indexer(ids1)
-    r2 = idx.get_indexer(ids2)
-    ok = (r1 >= 0) & (r2 >= 0)
-    ids1, ids2, r1, r2 = ids1[ok], ids2[ok], r1[ok], r2[ok]
-    out = {"id1": pa.array(ids1, pa.string()), "id2": pa.array(ids2, pa.string())}
-    for name, f in _features_from_rows(state, r1, r2, specs).items():
-        out[name] = pa.array(f, pa.float64())
-    return pa.table(out)
+
+    def apply(state, pt: pa.Table, r1: np.ndarray, r2: np.ndarray) -> pa.Table:
+        ok = (r1 >= 0) & (r2 >= 0)
+        out = pt.select(["id1", "id2"]).filter(pa.array(ok))
+        feats = (_features_from_rows(state, r1[ok], r2[ok], specs) if ok.any()
+                 else {s.name: [] for s in specs})
+        for name, f in feats.items():
+            out = out.append_column(name, pa.array(f, pa.float64()))
+        return out
+
+    return PairKernel(lambda tbl: _build_state(tbl, load_specs or specs), apply)
 
 
 def _features_from_rows(state: dict, r1: np.ndarray, r2: np.ndarray,
                         specs) -> dict:
-    """The per-pair feature kernels over resolved record rows — shared by
-    the broadcast path and the grouped (demand-semi-join) join path."""
+    """The per-pair feature kernels over resolved state rows — shared by
+    _feature_kernel and semantic_graph.features_from_value_pairs."""
     out: dict = {}
     # several specs usually share one (attr, tok, q) tokenization (jac/cos/
     # dice/ovlpcoeff over the same column) — compute the per-pair overlap
@@ -186,60 +178,6 @@ def _features_from_rows(state: dict, r1: np.ndarray, r2: np.ndarray,
     return out
 
 
-def _ren_side(prefix):
-    """Rename feature-input columns for one join side (cid_l/l_* or cid_r/r_*)."""
-
-    def f(t: pa.Table) -> pa.Table:
-        return t.rename_columns(
-            [("cid_" + prefix if c == "conv_id" else f"{prefix}_{c}") for c in t.column_names]
-        )
-
-    return f
-
-
-def _extract_joined(batch: pa.Table, *, specs) -> pa.Table:
-    """Join-path feature kernel: pairs already joined to both sides' feature
-    columns (l_*/r_*) — features computed straight from the paired columns."""
-    out = {"id1": batch.column("id1"), "id2": batch.column("id2")}
-    n = batch.num_rows
-    ovlp_cache: dict = {}  # one overlap pass per shared (attr, tok, q)
-    for s in specs:
-        if n == 0:
-            out[s.name] = pa.array([], pa.float64())
-            continue
-        if s.sim in ("jac", "cos", "dice", "overlap", "ovlpcoeff"):
-            c = _tok_col(s.attr, s.tok, s.q)
-            if c not in ovlp_cache:
-                va, oa = S.flatten_lists(batch.column(f"l_{c}"))
-                vb, ob = S.flatten_lists(batch.column(f"r_{c}"))
-                ovlp_cache[c] = (S.pair_overlap(va, oa, vb, ob),
-                                 np.diff(oa), np.diff(ob))
-            ovlp, la, lb = ovlp_cache[c]
-            f = S.set_sims_from_overlap(ovlp, la, lb, s.sim)
-            f = np.where((la == 0) | (lb == 0), np.nan, f)
-        else:
-            a = np.asarray(batch.column(f"l_r_{s.attr}").to_numpy(zero_copy_only=False), dtype=object)
-            b = np.asarray(batch.column(f"r_r_{s.attr}").to_numpy(zero_copy_only=False), dtype=object)
-            if s.sim == "lev":
-                d = S.lev_dist_batch(a, b).astype(np.float64)
-                la = np.array([len(str(x)) for x in a], dtype=np.float64)
-                lb = np.array([len(str(x)) for x in b], dtype=np.float64)
-                mx = np.maximum(la, lb)
-                f = np.where(mx > 0, 1.0 - d / np.maximum(mx, 1.0), 1.0)
-            elif s.sim == "exm":
-                f = (pd.Series(a).astype(str).to_numpy() == pd.Series(b).astype(str).to_numpy()).astype(np.float64)
-            elif s.sim == "anm":
-                f = S.absolute_norm_batch(a, b)
-            elif s.sim == "jw":
-                f = S.jaro_winkler_batch(a, b)
-            elif s.sim == "me":
-                f = S.monge_elkan_batch(a, b)
-            else:
-                raise ValueError(s.sim)
-        out[s.name] = pa.array(np.asarray(f, np.float64), pa.float64())
-    return pa.table(out)
-
-
 def extract_features(
     pairs: "ray.data.Dataset",
     docs: "ray.data.Dataset",
@@ -254,11 +192,9 @@ def extract_features(
     """Candidate pairs {id1,id2,...} -> feature vectors {id1,id2,f...}.
 
     Feature-input columns (tokenized lists + raw attrs) are computed
-    DISTRIBUTED in one pass over the docs; they then reach the per-pair
-    kernels either as a broadcast state (record count <= broadcast_limit;
-    object-store ref fetched once per worker) or via two hash-partitioned
-    ``hash_join`` shuffles (the unbounded-scale path — no full-corpus driver
-    materialization; mirrors verify_pairs' switch)."""
+    DISTRIBUTED in one pass over the docs; they reach the per-pair kernels
+    through ``joins.attach_pairs`` — a broadcast state under its gate, its
+    demand join beyond (no full-corpus driver materialization)."""
     slow = [s.name for s in specs if s.sim in ("jw", "me")]
     if slow:
         import logging
@@ -275,52 +211,12 @@ def extract_features(
     feat_cols = docs.select_columns(cols).map_batches(
         _feature_columns, fn_kwargs={"specs": list(specs)}, batch_format="pyarrow"
     )
-    if broadcast is None:
-        n_records = n_records if n_records is not None else docs.count()
-        from .verify import should_broadcast
-
-        # bytes + count gate: record counts alone under-estimate wide docs
-        broadcast = should_broadcast(docs, n_records, broadcast_limit)
-    if broadcast:
-        from .verify import collect_arrow
-
-        ref = ray.put(_build_state(collect_arrow(feat_cols), specs))
-        return pairs.map_batches(
-            _extract_batch,
-            fn_kwargs=dict(state_ref=ref, specs=list(specs)),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-
-    from .joins import demand_semijoin_apply
-
-    specs = list(specs)
-
-    def bucket_fn(pt: pa.Table, rt: pa.Table) -> pa.Table:
-        if pt.num_rows == 0:
-            cols = {"id1": pa.array([], pa.string()), "id2": pa.array([], pa.string())}
-            for s in specs:
-                cols[s.name] = pa.array([], pa.float64())
-            return pa.table(cols)
-        # bucket-local state keyed by the int64 id hashes (faster indexer
-        # than the broadcast path's object ids)
-        keys = np.asarray(rt.column("k1"), dtype=np.int64)
-        state = _build_state(rt, specs, ids=keys)
-        idx = state["index"]
-        r1 = idx.get_indexer(np.asarray(pt.column("k1"), dtype=np.int64))
-        r2 = idx.get_indexer(np.asarray(pt.column("k2"), dtype=np.int64))
-        ok = (r1 >= 0) & (r2 >= 0)
-        base = pt.select(["id1", "id2"]).filter(pa.array(ok))
-        out = {"id1": base.column("id1"), "id2": base.column("id2")}
-        for name, f in _features_from_rows(state, r1[ok], r2[ok], specs).items():
-            out[name] = pa.array(f, pa.float64())
-        return pa.table(out)
-
-    # each record's feature-input row (token lists + raw attrs) ships once
-    # per needing bucket instead of once per pair (see demand_semijoin_apply)
-    return demand_semijoin_apply(
-        pairs.select_columns(["id1", "id2"]), feat_cols, bucket_fn,
-        num_partitions=num_partitions)
+    if broadcast is None and n_records is None:
+        n_records = docs.count()
+    return attach_pairs(
+        pairs.select_columns(["id1", "id2"]), feat_cols, _feature_kernel(specs),
+        broadcast_limit=broadcast_limit, n_records=n_records,
+        broadcast=broadcast, num_partitions=num_partitions, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -526,42 +422,6 @@ def _apply_ic_max(batch_out, specs, attr, ic, raw1, raw2):
     return batch_out
 
 
-def _extract_ic_batch(batch: pa.Table, *, state_ref, ic_ref, specs, attr) -> pa.Table:
-    """Broadcast-path feature kernel + IC max-over-group overwrite."""
-    out_tbl = _extract_batch(batch, state_ref=state_ref, specs=specs)
-    if out_tbl.num_rows == 0:
-        return out_tbl
-    state = get_broadcast(state_ref)
-    ic = get_broadcast(ic_ref)
-    idx = state["index"]
-    ids1 = np.asarray(out_tbl.column("id1").to_numpy(zero_copy_only=False), dtype=object)
-    ids2 = np.asarray(out_tbl.column("id2").to_numpy(zero_copy_only=False), dtype=object)
-    raw = state[("raw", attr)] if ("raw", attr) in state else None
-    if raw is None:
-        # attr only used by set sims: raw strings still needed for grouping
-        raise ValueError(f"IC attr {attr!r} must appear in a raw-capable spec "
-                         f"or be added to the raw state")
-    r1 = idx.get_indexer(ids1)
-    r2 = idx.get_indexer(ids2)
-    cols = {c: out_tbl.column(c) for c in out_tbl.column_names}
-    cols = _apply_ic_max(cols, specs, attr, ic, raw[r1], raw[r2])
-    return pa.table(cols)
-
-
-def _extract_ic_joined(batch: pa.Table, *, ic_ref, specs, attr) -> pa.Table:
-    """Join-path feature kernel + IC max-over-group overwrite (raw attr
-    values arrive ON the joined batch as l_r_/r_r_ columns)."""
-    out_tbl = _extract_joined(batch, specs=specs)
-    if out_tbl.num_rows == 0:
-        return out_tbl
-    ic = get_broadcast(ic_ref)
-    raw1 = np.asarray(batch.column(f"l_r_{attr}").to_numpy(zero_copy_only=False), dtype=object)
-    raw2 = np.asarray(batch.column(f"r_r_{attr}").to_numpy(zero_copy_only=False), dtype=object)
-    cols = {c: out_tbl.column(c) for c in out_tbl.column_names}
-    cols = _apply_ic_max(cols, specs, attr, ic, raw1, raw2)
-    return pa.table(cols)
-
-
 def extract_features_ic(
     pairs: "ray.data.Dataset",
     docs: "ray.data.Dataset",
@@ -586,10 +446,9 @@ def extract_features_ic(
     pairs get a bounded per-member loop (reference does the same scalar
     member loop, cal_feature.cc:42-47 — dense IC groups make it quadratic in
     group size, bounded to IC-touched pairs only), non-grouped pairs stay on
-    the vectorized kernel.  Feature-input columns reach the per-pair kernel
-    via the same broadcast-or-hash_join switch as plain extract_features, so
-    corpora beyond ``broadcast_limit`` take the join path instead of a
-    driver collect."""
+    the vectorized kernel.  The IC overwrite wraps extract_features' kernel
+    in the same ``joins.attach_pairs``, so corpora beyond
+    ``broadcast_limit`` take its demand join instead of a driver collect."""
     gpd = groups if isinstance(groups, pd.DataFrame) else groups.to_pandas()
     specs = list(specs)
     if not any(s.attr == attr and s.sim in ("lev", "exm", "anm", "jw", "me") for s in specs):
@@ -603,32 +462,22 @@ def extract_features_ic(
         .map_batches(_feature_columns, fn_kwargs={"specs": specs + probe},
                      batch_format="pyarrow")
     )
-    if broadcast is None:
-        n_records = n_records if n_records is not None else docs.count()
-        from .verify import should_broadcast
+    base = _feature_kernel(specs, specs + probe)
 
-        # bytes + count gate: record counts alone under-estimate wide docs
-        broadcast = should_broadcast(docs, n_records, broadcast_limit)
-    if broadcast:
-        from .verify import collect_arrow
+    def apply(state, pt: pa.Table, r1: np.ndarray, r2: np.ndarray) -> pa.Table:
+        out = base.apply(state, pt, r1, r2)
+        if out.num_rows == 0:
+            return out
+        ok = (r1 >= 0) & (r2 >= 0)
+        raw = state[("raw", attr)]
+        cols = {c: out.column(c) for c in out.column_names}
+        cols = _apply_ic_max(cols, specs, attr, get_broadcast(ic_ref),
+                             raw[r1[ok]], raw[r2[ok]])
+        return pa.table(cols)
 
-        state_ref = ray.put(_build_state(collect_arrow(feat_cols), specs + probe))
-        return pairs.map_batches(
-            _extract_ic_batch,
-            fn_kwargs=dict(state_ref=state_ref, ic_ref=ic_ref, specs=specs, attr=attr),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-
-    from .joins import hash_join
-
-    left = feat_cols.map_batches(_ren_side("l"), batch_format="pyarrow")
-    right = feat_cols.map_batches(_ren_side("r"), batch_format="pyarrow")
-    j = hash_join(pairs.select_columns(["id1", "id2"]), left,
-                  on="id1", right_on="cid_l", num_partitions=num_partitions)
-    j = hash_join(j, right, on="id2", right_on="cid_r", num_partitions=num_partitions)
-    return j.map_batches(
-        _extract_ic_joined,
-        fn_kwargs=dict(ic_ref=ic_ref, specs=specs, attr=attr),
-        batch_format="pyarrow", batch_size=batch_size,
-    )
+    if broadcast is None and n_records is None:
+        n_records = docs.count()
+    return attach_pairs(
+        pairs.select_columns(["id1", "id2"]), feat_cols, PairKernel(base.load, apply),
+        broadcast_limit=broadcast_limit, n_records=n_records,
+        broadcast=broadcast, num_partitions=num_partitions, batch_size=batch_size)

@@ -81,7 +81,9 @@ def matched_values(
     ))
     proj = docs.select_columns(["conv_id", attr])
     n = n_records if n_records is not None else docs.count()
-    if n <= broadcast_limit:
+    from .verify import should_broadcast
+
+    if should_broadcast(proj, n, broadcast_limit):
         import pyarrow.compute as pc
 
         from .verify import collect_arrow
@@ -108,10 +110,13 @@ def matched_values(
             lambda t: pa.table({"cid": t.column("conv_id"), "val": t.column(attr)}),
             batch_format="pyarrow"),
             on="conv_id", right_on="cid", num_partitions=num_partitions)
-        vals = j.map_batches(
-            lambda df: pd.DataFrame({"val": df["val"].dropna().astype(str)}),
-            batch_format="pandas",
-        )
+
+        def nonempty(df: pd.DataFrame) -> pd.DataFrame:
+            # the broadcast lookup's rule: null and "" values are dropped
+            v = df["val"].dropna().astype(str)
+            return pd.DataFrame({"val": v[v != ""]})
+
+        vals = j.map_batches(nonempty, batch_format="pandas")
     # distinct via per-batch dedupe + groupby (tiny vocabulary-sized shuffle)
     vals = vals.map_batches(
         lambda df: df.drop_duplicates("val"), batch_format="pandas"

@@ -9,17 +9,20 @@ per bucket with a vectorized pandas hash join.  One shuffle, no actor pool,
 robust to empty blocks.
 
 This is also the portable pattern the Ray guide recommends for
-both-sides-large joins; the broadcast path (ray.put + lookup per batch)
-remains the small-side fast path used by verify_pairs."""
+both-sides-large joins.  Attaching record payloads to candidate pairs is
+not a relational join and does not use it directly: ``attach_pairs`` runs a
+per-pair kernel behind one broadcast-or-demand-join gate."""
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from ..functions.hashing import bucket_of
+from ..functions.hashing import bucket_of, hash_strings
 
 _SIDE = "__side"
 _PB = "__pb"
@@ -42,6 +45,10 @@ def _pa_schema(ds: "ray.data.Dataset") -> pa.Schema:
         return b.schema
     return pa.schema([pa.field(n, pa.from_numpy_dtype(t) if t != object else pa.string())
                       for n, t in zip(sch.names, sch.types)])
+
+
+def _flat(c):
+    return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
 
 
 def zero_pad(n: int, typ: pa.DataType):
@@ -96,8 +103,7 @@ def hash_join(
             cols = {}
             for fld in all_fields:
                 if fld.name in t.column_names:
-                    c = t.column(fld.name)
-                    cols[fld.name] = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+                    cols[fld.name] = _flat(t.column(fld.name))
                 else:
                     cols[fld.name] = zero_pad(t.num_rows, fld.type)
             keyvals = t.column(key).to_numpy(zero_copy_only=False)
@@ -215,8 +221,7 @@ def asof_join(
             cols = {}
             for fld in all_fields:
                 if fld.name in t.column_names:
-                    c = t.column(fld.name)
-                    cols[fld.name] = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+                    cols[fld.name] = _flat(t.column(fld.name))
                 else:
                     cols[fld.name] = pa.nulls(t.num_rows, fld.type)
             keyvals = t.column(key).to_numpy(zero_copy_only=False)
@@ -305,8 +310,7 @@ def interval_join(
             cols = {}
             for fld in all_fields:
                 if fld.name in t.column_names:
-                    c = t.column(fld.name)
-                    cols[fld.name] = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+                    cols[fld.name] = _flat(t.column(fld.name))
                 else:
                     cols[fld.name] = pa.nulls(t.num_rows, fld.type)
             keyvals = t.column(key).to_numpy(zero_copy_only=False)
@@ -340,66 +344,119 @@ def interval_join(
     )
 
 
-def demand_semijoin_apply(
+class PairKernel(NamedTuple):
+    """A per-pair payload operator for :func:`attach_pairs`.
+
+    ``load(records_tbl) -> state`` builds per-record state from a table of
+    records (every column of ``records``, conv_id included; row i of the
+    table is state row i).  ``apply(state, pairs_tbl, r1, r2) -> pa.Table``
+    runs over a batch of pairs (every pair column) with the state rows of
+    its ``id1``/``id2``; a row is -1 where an id has no record, so each
+    kernel decides whether to drop the pair or fill its values."""
+
+    load: Callable
+    apply: Callable
+
+
+def _record_index(tbl: pa.Table) -> pd.Index:
+    """Unique 64-bit id-hash Index over a records table's conv_ids: a
+    duplicated id raises check_unique_ids' ValueError naming it, and a hash
+    collision the verify index's RuntimeError."""
+    from .verify import _hashed_ids, check_unique_ids
+
+    ids = np.asarray(tbl.column("conv_id").to_numpy(zero_copy_only=False), dtype=object)
+    check_unique_ids(ids, "records")
+    return _hashed_ids(pd.Index(ids))[1]
+
+
+def _id_hashes(t: pa.Table, col: str) -> np.ndarray:
+    return hash_strings(np.asarray(t.column(col).to_numpy(zero_copy_only=False), dtype=object))
+
+
+def attach_pairs(
     pairs: "ray.data.Dataset",
     records: "ray.data.Dataset",
-    apply_fn,
+    kernel: PairKernel,
     *,
+    broadcast_limit: int,
+    n_records: int | None = None,
+    broadcast: bool | None = None,
     num_partitions: int = 64,
-    key_col: str = "conv_id",
-):
-    """Generic demand-semi-join co-partition for pair-vs-record operators
-    (the beyond-broadcast path for PER-PAIR payload application, e.g.
-    feature extraction; similarity verifies use verify.grid_verify
-    instead — an index is shardable, per-pair feature state is not):
+    batch_size: int | None = None,
+) -> "ray.data.Dataset":
+    """Attach both records' payloads to every pair ``{id1, id2, ...}`` and
+    run ``kernel`` over them — the one pair-vs-record operator behind the
+    features, Ditto scoring, the embedding verify, value attaches, the
+    ``lev_sim`` length filter and the Megallen writer.
 
-    1. pairs bucket by hash(id1);
-    2. a dedup'd narrow (bucket, record-key-hash) DEMAND set shuffles;
-    3. each record's payload row joins the demand ONCE per needing bucket
-       (never once per pair — the list-per-pair join this replaces was the
-       dominant cost of the scale path);
-    4. ``apply_fn(pairs_tbl, records_tbl)`` runs per bucket, where
-       pairs_tbl has {k1, k2, id1, id2} (k = 64-bit id hashes) and
-       records_tbl has {k1} + the record payload columns.
+    ``records`` holds one row per ``conv_id``.  Ids resolve by 64-bit id
+    hash on both plans; the gate is ``verify.should_broadcast`` over the
+    records' count and bytes (``broadcast`` overrides it):
 
-    NO NULLABLE INTS cross the internal union (zero_pad): Ray's sort can
-    coerce nullable int64 through pandas float64 and round 64-bit keys."""
-    from ..functions.hashing import hash_strings
+    - **broadcast**: one driver collect of ``records``, the duplicate-id and
+      id-hash collision checks, ``kernel.load`` and one ``ray.put``; each
+      worker fetches the state once and ``kernel.apply`` runs per pair
+      batch in ``map_batches``.
+    - **join** (beyond broadcast): pairs bucket by hash(id1); a deduped
+      narrow (bucket, id-hash) DEMAND set shuffles and joins the records,
+      so each record's payload crosses the shuffle once per bucket that
+      needs it, never once per pair; per bucket, ``kernel.load`` runs over
+      the bucket's records and ``kernel.apply`` over its pairs.  A
+      duplicated id raises in-task.
 
-    psch = _pa_schema(pairs)
-    rsch = _pa_schema(records)
-    id1_t, id2_t = psch.field("id1").type, psch.field("id2").type
-    payload = [rsch.field(n) for n in rsch.names if n != key_col]
-    fields = [("pb", pa.int32()), ("isp", pa.int8()),
-              ("k1", pa.int64()), ("k2", pa.int64()),
-              ("id1", id1_t), ("id2", id2_t)]
-    fields += [(f.name, f.type) for f in payload]
-    schema = pa.schema(fields)
+    Pair columns and record columns cross the internal union under
+    positional names (their names may overlap).  NO NULLABLE INTS cross it
+    (zero_pad): Ray's sort can coerce nullable int64 through pandas float64
+    and round 64-bit keys."""
+    if broadcast is None:
+        from .verify import should_broadcast
+
+        n = n_records if n_records is not None else records.count()
+        broadcast = should_broadcast(records, n, broadcast_limit)
+    if broadcast:
+        import ray
+
+        from ..functions.hashing import get_broadcast
+        from .verify import collect_arrow
+
+        tbl = collect_arrow(records)
+        ref = ray.put((_record_index(tbl), kernel.load(tbl)))
+
+        def probe(t: pa.Table) -> pa.Table:
+            hidx, state = get_broadcast(ref)
+            return kernel.apply(state, t, hidx.get_indexer(_id_hashes(t, "id1")),
+                                hidx.get_indexer(_id_hashes(t, "id2")))
+
+        return pairs.map_batches(probe, batch_format="pyarrow", batch_size=batch_size)
+    return _attach_join(pairs, records, kernel, num_partitions)
+
+
+def _attach_join(pairs, records, kernel: PairKernel, num_partitions: int):
+    """attach_pairs' join branch (see there)."""
+    psch, rsch = _pa_schema(pairs), _pa_schema(records)
+    pnames, rnames = list(psch.names), list(rsch.names)
+    pfields = [pa.field(f"__p{i}", psch.field(n).type) for i, n in enumerate(pnames)]
+    rfields = [pa.field(f"__r{i}", rsch.field(n).type) for i, n in enumerate(rnames)]
+    schema = pa.schema([pa.field(_PB, pa.int32()), pa.field(_SIDE, pa.int8()),
+                        pa.field("__k1", pa.int64()), pa.field("__k2", pa.int64())]
+                       + pfields + rfields)
 
     def tag_pairs(t: pa.Table) -> pa.Table:
-        i1 = np.asarray(t.column("id1").to_numpy(zero_copy_only=False), dtype=object)
-        i2 = np.asarray(t.column("id2").to_numpy(zero_copy_only=False), dtype=object)
-        k1, k2 = hash_strings(i1), hash_strings(i2)
-        n = len(i1)
-        c1, c2 = t.column("id1"), t.column("id2")
-        cols = {
-            "pb": pa.array(bucket_of(k1, num_partitions).astype(np.int32), pa.int32()),
-            "isp": pa.array(np.ones(n, np.int8), pa.int8()),
-            "k1": pa.array(k1, pa.int64()), "k2": pa.array(k2, pa.int64()),
-            "id1": c1.combine_chunks() if isinstance(c1, pa.ChunkedArray) else c1,
-            "id2": c2.combine_chunks() if isinstance(c2, pa.ChunkedArray) else c2,
-        }
-        for f in payload:
-            cols[f.name] = zero_pad(n, f.type)
-        return pa.table(cols, schema=schema)
+        k1, k2 = _id_hashes(t, "id1"), _id_hashes(t, "id2")
+        n = t.num_rows
+        cols = [pa.array(bucket_of(k1, num_partitions).astype(np.int32), pa.int32()),
+                pa.array(np.ones(n, np.int8), pa.int8()),
+                pa.array(k1, pa.int64()), pa.array(k2, pa.int64())]
+        cols += [_flat(t.column(c)) for c in pnames]
+        cols += [zero_pad(n, f.type) for f in rfields]
+        return pa.Table.from_arrays(cols, schema=schema)
 
-    tagged = pairs.select_columns(["id1", "id2"]).map_batches(
-        tag_pairs, batch_format="pyarrow").materialize()
+    tagged = pairs.map_batches(tag_pairs, batch_format="pyarrow").materialize()
 
     def emit_demand(t: pa.Table) -> pa.Table:
-        pb = np.asarray(t.column("pb"), dtype=np.int64)
-        k1 = np.asarray(t.column("k1"), dtype=np.int64)
-        k2 = np.asarray(t.column("k2"), dtype=np.int64)
+        pb = np.asarray(t.column(_PB), dtype=np.int64)
+        k1 = np.asarray(t.column("__k1"), dtype=np.int64)
+        k2 = np.asarray(t.column("__k2"), dtype=np.int64)
         u = np.unique(np.stack([np.concatenate([pb, pb]),
                                 np.concatenate([k1, k2])]), axis=1)
         return pa.table({
@@ -420,40 +477,33 @@ def demand_semijoin_apply(
                           batch_format="pyarrow"))
 
     def tag_records(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t.column(key_col).to_numpy(zero_copy_only=False), dtype=object)
-        cols = {"kk": pa.array(hash_strings(ids), pa.int64())}
-        for f in payload:
-            c = t.column(f.name)
-            cols["p_" + f.name] = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-        return pa.table(cols)
+        cols = [pa.array(_id_hashes(t, "conv_id"), pa.int64())]
+        cols += [_flat(t.column(c)) for c in rnames]
+        return pa.Table.from_arrays(cols, ["kk"] + [f.name for f in rfields])
 
-    recs_keyed = records.map_batches(tag_records, batch_format="pyarrow")
-    lists = hash_join(demand, recs_keyed, on="k", right_on="kk",
-                      num_partitions=num_partitions)
+    needed = hash_join(demand, records.map_batches(tag_records, batch_format="pyarrow"),
+                       on="k", right_on="kk", num_partitions=num_partitions)
 
     def shape_records(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        cols = {
-            "pb": t.column("pb"),
-            "isp": pa.array(np.zeros(n, np.int8), pa.int8()),
-            "k1": t.column("k"),
-            "k2": zero_pad(n, pa.int64()),
-            "id1": zero_pad(n, id1_t),
-            "id2": zero_pad(n, id2_t),
-        }
-        for f in payload:
-            c = t.column("p_" + f.name)
-            cols[f.name] = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-        return pa.table(cols, schema=schema)
-
-    shaped = lists.map_batches(shape_records, batch_format="pyarrow")
+        cols = [t.column("pb"), pa.array(np.zeros(n, np.int8), pa.int8()),
+                zero_pad(n, pa.int64()), zero_pad(n, pa.int64())]
+        cols += [zero_pad(n, f.type) for f in pfields]
+        cols += [_flat(t.column(f.name)) for f in rfields]
+        return pa.Table.from_arrays(cols, schema=schema)
 
     def bucket(t: pa.Table) -> pa.Table:
-        isp = np.asarray(t.column("isp"), dtype=np.int8) == 1
-        pt = t.filter(pa.array(isp)).select(["k1", "k2", "id1", "id2"])
-        rt = t.filter(pa.array(~isp)).select(["k1"] + [f.name for f in payload])
-        return apply_fn(pt, rt)
+        isp = np.asarray(t.column(_SIDE), dtype=np.int8) == 1
+        pt = t.filter(pa.array(isp))
+        rt = (t.filter(pa.array(~isp)).select([f.name for f in rfields])
+              .rename_columns(rnames))
+        hidx = _record_index(rt)
+        return kernel.apply(
+            kernel.load(rt),
+            pt.select([f.name for f in pfields]).rename_columns(pnames),
+            hidx.get_indexer(np.asarray(pt.column("__k1"), dtype=np.int64)),
+            hidx.get_indexer(np.asarray(pt.column("__k2"), dtype=np.int64)))
 
-    return (tagged.union(shaped)
-            .groupby("pb")
-            .map_groups(lambda g: bucket(g.drop(["pb"])), batch_format="pyarrow"))
+    return (tagged.union(needed.map_batches(shape_records, batch_format="pyarrow"))
+            .groupby(_PB)
+            .map_groups(bucket, batch_format="pyarrow"))

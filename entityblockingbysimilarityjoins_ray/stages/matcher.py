@@ -931,12 +931,7 @@ class DittoScorer:
                 {"id1": pa.array([], pa.string()), "id2": pa.array([], pa.string()),
                  "proba": pa.array([], pa.float64()), "label": pa.array([], pa.int8())}
             )
-        v1 = {a: np.asarray(t.column(f"l_{a}").to_numpy(zero_copy_only=False), dtype=object)
-              for a in self.attrs}
-        v2 = {a: np.asarray(t.column(f"r_{a}").to_numpy(zero_copy_only=False), dtype=object)
-              for a in self.attrs}
-        texts = ditto_serialize(v1, v2, self.attrs)
-        p = np.asarray(self.model(list(texts)), np.float64)
+        p = np.asarray(self.model(self.model_input(t)), np.float64)
         return pa.table(
             {
                 "id1": t.column("id1"),
@@ -945,6 +940,14 @@ class DittoScorer:
                 "label": pa.array((p >= self.threshold).astype(np.int8), pa.int8()),
             }
         )
+
+    def model_input(self, t: pa.Table) -> list:
+        """The serialized pair texts of one batch."""
+        v1 = {a: np.asarray(t.column(f"l_{a}").to_numpy(zero_copy_only=False), dtype=object)
+              for a in self.attrs}
+        v2 = {a: np.asarray(t.column(f"r_{a}").to_numpy(zero_copy_only=False), dtype=object)
+              for a in self.attrs}
+        return list(ditto_serialize(v1, v2, self.attrs))
 
 
 def load_ditto_model(checkpoint_path: str):
@@ -983,56 +986,38 @@ def ditto_match(
     _scorer_cls=None,
 ) -> "ray.data.Dataset":
     """Score candidate pairs with a Ditto-style model: raw attr values reach
-    the pairs via the same broadcast-or-hash_join switch as feature
-    extraction, then an ACTOR POOL (model held once per actor) scores
-    serialized pair texts in batches.  Output {id1, id2, proba, label} —
-    drop-in for rf_match."""
-    from ..functions.hashing import get_broadcast as _gb
+    the pairs through ``joins.attach_pairs`` (as string ``l_{attr}`` /
+    ``r_{attr}`` columns, nulls -> ""; pairs with an unknown id dropped),
+    then an ACTOR POOL (model held once per actor) scores serialized pair
+    texts in batches.  Output {id1, id2, proba, label} — drop-in for
+    rf_match."""
+    from .joins import PairKernel, attach_pairs
 
+    attrs = list(attrs)
+
+    def load(tbl: pa.Table) -> dict:
+        cols = {}
+        for a in attrs:
+            v = np.asarray(tbl.column(a).to_numpy(zero_copy_only=False), dtype=object)
+            cols[a] = np.where(pd.isna(v), "", v.astype(str))
+        return cols
+
+    def apply(cols, t: pa.Table, r1: np.ndarray, r2: np.ndarray) -> pa.Table:
+        ok = (r1 >= 0) & (r2 >= 0)
+        out = t.select(["id1", "id2"]).filter(pa.array(ok))
+        for a in attrs:
+            out = out.append_column(f"l_{a}", pa.array(cols[a][r1[ok]], pa.string()))
+            out = out.append_column(f"r_{a}", pa.array(cols[a][r2[ok]], pa.string()))
+        return out
+
+    if broadcast is None and n_records is None:
+        n_records = docs.count()
+    joined = attach_pairs(
+        pairs.select_columns(["id1", "id2"]),
+        docs.select_columns(["conv_id"] + attrs), PairKernel(load, apply),
+        broadcast_limit=broadcast_limit, n_records=n_records,
+        broadcast=broadcast, num_partitions=num_partitions)
     model_ref = ray.put(model)
-    proj = docs.select_columns(["conv_id"] + list(attrs))
-    if broadcast is None:
-        n_records = n_records if n_records is not None else docs.count()
-        from .verify import should_broadcast
-
-        # bytes + count gate: record counts alone under-estimate wide docs
-        broadcast = should_broadcast(proj, n_records, broadcast_limit)
-    if broadcast:
-        from .verify import collect_arrow
-
-        tbl = collect_arrow(proj)
-        idx = pd.Index(np.asarray(tbl.column("conv_id").to_numpy(zero_copy_only=False),
-                                  dtype=object))
-        cols = {a: np.asarray(tbl.column(a).to_numpy(zero_copy_only=False), dtype=object)
-                for a in attrs}
-        state_ref = ray.put((idx, cols))
-
-        def attach(t: pa.Table) -> pa.Table:
-            idx, cols = _gb(state_ref)
-            i1 = np.asarray(t.column("id1").to_numpy(zero_copy_only=False), dtype=object)
-            i2 = np.asarray(t.column("id2").to_numpy(zero_copy_only=False), dtype=object)
-            r1, r2 = idx.get_indexer(i1), idx.get_indexer(i2)
-            ok = (r1 >= 0) & (r2 >= 0)
-            out = {"id1": pa.array(i1[ok], pa.string()),
-                   "id2": pa.array(i2[ok], pa.string())}
-            for a in attrs:
-                out[f"l_{a}"] = pa.array(
-                    pd.Series(cols[a][r1[ok]]).fillna("").astype(str), pa.string())
-                out[f"r_{a}"] = pa.array(
-                    pd.Series(cols[a][r2[ok]]).fillna("").astype(str), pa.string())
-            return pa.table(out)
-
-        joined = pairs.map_batches(attach, batch_format="pyarrow")
-    else:
-        from .features import _ren_side
-        from .joins import hash_join
-
-        left = proj.map_batches(_ren_side("l"), batch_format="pyarrow")
-        right = proj.map_batches(_ren_side("r"), batch_format="pyarrow")
-        joined = hash_join(pairs.select_columns(["id1", "id2"]), left,
-                           on="id1", right_on="cid_l", num_partitions=num_partitions)
-        joined = hash_join(joined, right, on="id2", right_on="cid_r",
-                           num_partitions=num_partitions)
     return joined.map_batches(
         _scorer_cls or DittoScorer,
         fn_constructor_args=(model_ref, list(attrs), threshold),
@@ -1091,7 +1076,7 @@ def deepmatcher_split(df: pd.DataFrame, seed: int = 0):
             test.reset_index(drop=True))
 
 
-class DeepMatcherScorer:
+class DeepMatcherScorer(DittoScorer):
     """Actor-pool DeepMatcher scorer — same output surface as RFScorer /
     DittoScorer ({id1, id2, proba, label}).  ``model`` is any callable
     ``model(frame: pd.DataFrame) -> probas`` over a DeepMatcher-format frame
@@ -1101,33 +1086,14 @@ class DeepMatcherScorer:
     per actor (reference apply_model reloads the .pth per chunk,
     deep_matcher.py:131-140)."""
 
-    def __init__(self, model_ref, attrs, threshold: float = 0.5):
-        self.model = ray.get(model_ref)
-        self.attrs = list(attrs)
-        self.threshold = threshold
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {"id1": pa.array([], pa.string()), "id2": pa.array([], pa.string()),
-                 "proba": pa.array([], pa.float64()), "label": pa.array([], pa.int8())}
-            )
-        frame = pd.DataFrame({
+    def model_input(self, t: pa.Table) -> pd.DataFrame:
+        return pd.DataFrame({
             f"{side}_{a}": pd.Series(
                 t.column(f"{pre}_{a}").to_numpy(zero_copy_only=False)
             ).fillna("").astype(str)
             for side, pre in (("left", "l"), ("right", "r"))
             for a in self.attrs
         })
-        p = np.asarray(self.model(frame), np.float64)
-        return pa.table(
-            {
-                "id1": t.column("id1"),
-                "id2": t.column("id2"),
-                "proba": pa.array(p, pa.float64()),
-                "label": pa.array((p >= self.threshold).astype(np.int8), pa.int8()),
-            }
-        )
 
 
 def deepmatcher_match(
@@ -1145,7 +1111,7 @@ def deepmatcher_match(
     num_partitions: int = 64,
 ) -> "ray.data.Dataset":
     """DeepMatcher-style scoring over candidate pairs: identical plumbing to
-    ditto_match (broadcast-or-hash_join value attach, actor-pool scoring),
+    ditto_match (attach_pairs value attach, actor-pool scoring),
     differing only in the per-batch input the model sees (a wide
     left_/right_ frame instead of serialized text)."""
     scored = ditto_match(

@@ -268,59 +268,28 @@ def _attach_values(
     broadcast_limit: int, n_records: int | None = None,
 ) -> "ray.data.Dataset":
     """Append both sides' ``attr`` values to pair rows as STRING columns
-    ``out_l``/``out_r`` (nulls -> "") — the ONE broadcast-or-hash_join
-    value-attach used by every group-module stage, gated on records AND
-    bytes (verify.should_broadcast).  Both paths agree on pairs whose id has
-    no doc row: the broadcast reindex yields NaN -> "" and the join path
-    LEFT-joins with the same "" fill, so reformat/slim consumers see the
-    identical row set on either side of the gate."""
+    ``out_l``/``out_r`` through ``joins.attach_pairs`` — the one value
+    attach of every group-module stage.  An id with no doc row and a null
+    value both read "", so reformat/slim consumers see every pair row on
+    either side of the gate."""
     import pyarrow.compute as pc
 
-    from .verify import should_broadcast
+    from .joins import PairKernel, attach_pairs
 
-    proj = docs.select_columns(["conv_id", attr])
-    n = n_records if n_records is not None else docs.count()
-    if should_broadcast(proj, n, broadcast_limit):
-        from .verify import collect_arrow
+    def load(tbl: pa.Table) -> np.ndarray:
+        vals = pc.fill_null(pc.cast(tbl.column(attr), pa.string()), "")
+        return np.append(np.asarray(vals.to_numpy(zero_copy_only=False), dtype=object), "")
 
-        tbl = collect_arrow(proj)
-        vmap = pd.Series(
-            np.asarray(pc.cast(tbl.column(attr), pa.string()).to_numpy(zero_copy_only=False), dtype=object),
-            index=pd.Index(np.asarray(tbl.column("conv_id").to_numpy(zero_copy_only=False), dtype=object)),
-        )
-        ref = ray.put(vmap)
+    def apply(vals: np.ndarray, t: pa.Table, r1: np.ndarray, r2: np.ndarray) -> pa.Table:
+        # row -1 (no doc) reads the trailing ""
+        return (t.append_column(out_l, pa.array(vals[r1], pa.string()))
+                 .append_column(out_r, pa.array(vals[r2], pa.string())))
 
-        def attach(t: pa.Table) -> pa.Table:
-            m = get_broadcast(ref)
-            a = m.reindex(np.asarray(t.column("id1").to_numpy(zero_copy_only=False), dtype=object)).to_numpy(object)
-            b = m.reindex(np.asarray(t.column("id2").to_numpy(zero_copy_only=False), dtype=object)).to_numpy(object)
-            return (t.append_column(out_l, pa.array(
-                        pd.Series(a).fillna("").astype(str), pa.string()))
-                     .append_column(out_r, pa.array(
-                        pd.Series(b).fillna("").astype(str), pa.string())))
-
-        return pairs.map_batches(attach, batch_format="pyarrow")
-
-    from .joins import hash_join
-
-    def side(col, out):
-        return proj.map_batches(
-            lambda t, c=col, o=out: pa.table({c: t.column("conv_id"),
-                                              o: t.column(attr)}),
-            batch_format="pyarrow")
-
-    j = hash_join(pairs, side("__cid1", out_l), how="left",
-                  on="id1", right_on="__cid1", num_partitions=num_partitions)
-    j = hash_join(j, side("__cid2", out_r), how="left",
-                  on="id2", right_on="__cid2", num_partitions=num_partitions)
-
-    def norm(t: pa.Table) -> pa.Table:
-        for c in (out_l, out_r):
-            i = t.column_names.index(c)
-            t = t.set_column(i, c, pc.fill_null(pc.cast(t.column(c), pa.string()), ""))
-        return t
-
-    return j.map_batches(norm, batch_format="pyarrow")
+    return attach_pairs(
+        pairs, docs.select_columns(["conv_id", attr]), PairKernel(load, apply),
+        broadcast_limit=broadcast_limit,
+        n_records=n_records if n_records is not None else docs.count(),
+        num_partitions=num_partitions)
 
 
 def candidate_value_pairs(
@@ -604,7 +573,7 @@ def reformat_matches(
     group.cc:176-246) so the second match round sees normalized values.
 
     Output = ``matches`` with ``l_{attr}`` / ``r_{attr}`` columns attached
-    (broadcast-or-hash_join) and rewritten.  The graph and similarity state
+    (``_attach_values``) and rewritten.  The graph and similarity state
     are vocabulary-sized, fetched once per actor; the match table streams."""
     gpd = graph.to_pandas()  # vocabulary-scale edge list
     vals_ds = matched_values(matches, docs, attr, num_partitions=num_partitions,
@@ -664,8 +633,8 @@ def slim_matches(
     unconditionally; ties keep the first row in (id, partner-id) order
     (the reference keeps first-seen under strict >).
 
-    Distributed shape: one map_batches attaches values (broadcast-or-
-    hash_join) and scores the pair cosine vectorized; each slim pass is a
+    Distributed shape: ``_attach_values`` attaches values and one
+    map_batches scores the pair cosine vectorized; each slim pass is a
     hash-bucket groupby on the id with a per-bucket vectorized argmax —
     no per-group pandas loops."""
     from ..functions.hashing import bucket_of, hash_strings
@@ -744,7 +713,7 @@ def features_from_value_pairs(
     columns carried ON the pair rows (no doc join — the values may be
     pair-specific after graph reformatting).  All specs must target
     ``attr``."""
-    from .features import _extract_joined, _needed, _tok_col
+    from .features import _build_state, _feature_columns, _features_from_rows
 
     specs = list(specs)
     if any(s.attr != attr for s in specs):
@@ -754,19 +723,21 @@ def features_from_value_pairs(
     def f(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        from ..functions.tokenize import tokens_list_array
-
-        lv = pc.fill_null(pc.cast(t.column(f"l_{attr}"), pa.string()), "")
-        rv = pc.fill_null(pc.cast(t.column(f"r_{attr}"), pa.string()), "")
-        cols = {"id1": t.column("id1"), "id2": t.column("id2")}
-        needed_tok, needed_raw = _needed(specs)
-        for a, tok, q in sorted(needed_tok):
-            cols[f"l_{_tok_col(a, tok, q)}"] = tokens_list_array(lv, tok, q)
-            cols[f"r_{_tok_col(a, tok, q)}"] = tokens_list_array(rv, tok, q)
-        for a in sorted(needed_raw):
-            cols[f"l_r_{a}"] = lv
-            cols[f"r_r_{a}"] = rv
-        return _extract_joined(pa.table(cols), specs=specs)
+        # a two-sided per-batch state: rows [0, n) hold the left values,
+        # rows [n, 2n) the right ones
+        n = t.num_rows
+        lv, rv = (pc.fill_null(pc.cast(t.column(f"{p}_{attr}"), pa.string()), "")
+                  for p in ("l", "r"))
+        vals = pa.chunked_array(lv.chunks + rv.chunks, pa.string())
+        state = _build_state(_feature_columns(
+            pa.table({"conv_id": np.arange(2 * n), attr: vals}), specs), specs)
+        r = np.arange(n)
+        feats = (_features_from_rows(state, r, r + n, specs) if n
+                 else {s.name: [] for s in specs})
+        out = t.select(["id1", "id2"])
+        for name, v in feats.items():
+            out = out.append_column(name, pa.array(v, pa.float64()))
+        return out
 
     return pairs.map_batches(f, batch_format="pyarrow", batch_size=batch_size)
 

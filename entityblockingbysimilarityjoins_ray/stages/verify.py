@@ -205,16 +205,6 @@ def _rule_sim(ovlp, la, lb, sim: str) -> np.ndarray:
     return S.set_sims_from_overlap(ovlp, la, lb, sim)
 
 
-def _rename(ds, mapping):
-    cols = list(mapping.keys())
-
-    def f(t: pa.Table) -> pa.Table:
-        t = t.select(cols)
-        return t.rename_columns([mapping[c] for c in cols])
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
 def verify_pairs(
     pairs_ds: "ray.data.Dataset",
     toks_ds: "ray.data.Dataset",

@@ -88,46 +88,28 @@ def enrich_pairs(
     *, num_partitions: int = 32, broadcast_limit: int = 2_000_000,
     n_records: int | None = None,
 ) -> "ray.data.Dataset":
-    """Attach ltable_/rtable_ attribute values to pairs — broadcast lookup
-    below ``broadcast_limit`` records, two hash_join shuffles above (the
-    same switch as verify/features; never a full-corpus driver collect on
-    the scale path)."""
-    proj = docs.select_columns(["conv_id"] + sorted(set(attrs)))
-    n = n_records if n_records is not None else docs.count()
-    if n <= broadcast_limit:
-        from .verify import collect_arrow
+    """Attach ltable_/rtable_ attribute values to pairs through
+    ``joins.attach_pairs`` (never a full-corpus driver collect beyond its
+    gate).  Output: every pair column, then ``ltable_a, rtable_a`` per attr
+    in ``attrs`` order, in the docs' dtypes; a pair with an unknown id is
+    dropped (inner-join semantics, as the Megallen SQL)."""
+    from .joins import PairKernel, attach_pairs
 
-        tbl = collect_arrow(proj)
-        vdf = tbl.to_pandas().set_index("conv_id")
-        ref = ray.put(vdf)
+    attrs = list(dict.fromkeys(attrs))
 
-        def attach(df: pd.DataFrame) -> pd.DataFrame:
-            v = get_broadcast(ref)
-            out = df.copy()
-            l = v.reindex(df["id1"])
-            r = v.reindex(df["id2"])
-            for a in attrs:
-                out[f"ltable_{a}"] = l[a].to_numpy()
-                out[f"rtable_{a}"] = r[a].to_numpy()
-            return out
+    def apply(tbl: pa.Table, t: pa.Table, r1: np.ndarray, r2: np.ndarray) -> pa.Table:
+        ok = (r1 >= 0) & (r2 >= 0)
+        t = t.filter(pa.array(ok))
+        for a in attrs:
+            for side, r in (("l", r1[ok]), ("r", r2[ok])):
+                t = t.append_column(f"{side}table_{a}", tbl.column(a).take(pa.array(r)))
+        return t
 
-        return pairs.map_batches(attach, batch_format="pandas")
-
-    from .joins import hash_join
-
-    def ren(prefix):
-        def f(t: pa.Table) -> pa.Table:
-            return t.rename_columns(
-                [f"cid_{prefix}" if c == "conv_id" else f"{prefix}table_{c}"
-                 for c in t.column_names]
-            )
-
-        return f
-
-    left = proj.map_batches(ren("l"), batch_format="pyarrow")
-    right = proj.map_batches(ren("r"), batch_format="pyarrow")
-    j = hash_join(pairs, left, on="id1", right_on="cid_l", num_partitions=num_partitions)
-    return hash_join(j, right, on="id2", right_on="cid_r", num_partitions=num_partitions)
+    return attach_pairs(
+        pairs, docs.select_columns(["conv_id"] + attrs), PairKernel(lambda tbl: tbl, apply),
+        broadcast_limit=broadcast_limit,
+        n_records=n_records if n_records is not None else docs.count(),
+        num_partitions=num_partitions)
 
 
 def write_match_results(

@@ -218,3 +218,180 @@ def test_asof_interval_one_sided_buckets(ray_session):
                         on="k", point_col="v", lo_col="lo", hi_col="hi",
                         num_partitions=4).to_pandas()
     assert len(out) == 0
+
+
+# ---------------------------------------------------------------------------
+# attach_pairs: the one pair-vs-record payload operator
+# ---------------------------------------------------------------------------
+
+
+def _attach_inputs():
+    rng = np.random.default_rng(5)
+    words = ["alpha", "beta", "gamma", "delta", "epsi", "zeta"]
+    n = 40
+    docs = pd.DataFrame({
+        "conv_id": [f"c{i:02d}" for i in range(n)],
+        "doc": [" ".join(rng.choice(words, size=rng.integers(2, 6))) for _ in range(n)],
+        "head": [" ".join(rng.choice(words, size=2)) for _ in range(n)],
+        "n_turns": rng.integers(1, 9, n),
+    })
+    docs.loc[3, "head"] = ""  # an empty value: dropped by matched_values on both plans
+    pairs = pd.DataFrame({"id1": docs["conv_id"][:20].tolist(),
+                          "id2": docs["conv_id"][20:].tolist()})
+    return docs, pairs
+
+
+def _case_features(docs, pairs):
+    from entityblockingbysimilarityjoins_ray.stages.features import (
+        DEFAULT_FEATURES,
+        extract_features,
+    )
+
+    return extract_features(ray.data.from_pandas(pairs), ray.data.from_pandas(docs),
+                            DEFAULT_FEATURES, num_partitions=4)
+
+
+def _case_features_ic(docs, pairs):
+    from entityblockingbysimilarityjoins_ray.stages.features import (
+        FeatureSpec,
+        extract_features_ic,
+    )
+
+    groups = pd.DataFrame({"val": docs["head"][:2].tolist(),
+                           "group_rep": [docs["head"][0]] * 2})
+    specs = (FeatureSpec("head", "jac", "dlm"), FeatureSpec("head", "lev", "none"))
+    return extract_features_ic(ray.data.from_pandas(pairs), ray.data.from_pandas(docs),
+                               groups, "head", specs, num_partitions=4)
+
+
+def _case_ditto(docs, pairs):
+    from entityblockingbysimilarityjoins_ray.stages.matcher import ditto_match
+
+    def model(texts):
+        return np.array([len(t) % 3 / 2 for t in texts])
+
+    return ditto_match(ray.data.from_pandas(pairs), ray.data.from_pandas(docs),
+                       ["head", "n_turns"], model, concurrency=1, num_partitions=4)
+
+
+def _case_embedding(docs, pairs):
+    from entityblockingbysimilarityjoins_ray.stages.dedup import embedding_dup_pairs
+
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(40, 6))
+    M[1::2] = M[::2] + 0.05 * rng.normal(size=(20, 6))
+    emb = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(np.arange(40, dtype=np.int64)),
+        "embedding": pa.array(list(M), type=pa.list_(pa.float64()))}))
+    return embedding_dup_pairs(emb, threshold=0.9, mode="lsh", n_bands=16,
+                               band_bits=4, num_partitions=4)
+
+
+def _case_attach_values(docs, pairs):
+    from entityblockingbysimilarityjoins_ray.stages.semantic_graph import _attach_values
+
+    return _attach_values(ray.data.from_pandas(pairs), ray.data.from_pandas(docs),
+                          "head", out_l="l", out_r="r", num_partitions=4,
+                          broadcast_limit=2_000_000)
+
+
+def _case_lev_sim(docs, pairs):
+    from entityblockingbysimilarityjoins_ray.config import PipelineConfig
+    from entityblockingbysimilarityjoins_ray.stages.editjoin import lev_sim_self_join
+
+    return lev_sim_self_join(ray.data.from_pandas(docs), "head", 0.6,
+                             PipelineConfig(pair_partitions=4, num_buckets=4))
+
+
+def _case_enrich(docs, pairs):
+    from entityblockingbysimilarityjoins_ray.stages.writers import enrich_pairs
+
+    return enrich_pairs(ray.data.from_pandas(pairs), ray.data.from_pandas(docs),
+                        ["head", "n_turns"], num_partitions=4)
+
+
+def _case_matched_values(docs, pairs):
+    from entityblockingbysimilarityjoins_ray.stages.interchangeable import matched_values
+
+    return matched_values(ray.data.from_pandas(pairs), ray.data.from_pandas(docs),
+                          "head", num_partitions=4)
+
+
+@pytest.mark.parametrize("case", [
+    _case_features, _case_features_ic, _case_ditto, _case_embedding,
+    _case_attach_values, _case_lev_sim, _case_enrich, _case_matched_values,
+], ids=lambda f: f.__name__[len("_case_"):])
+def test_attach_gate_counts_bytes(case, monkeypatch, ray_session):
+    """Records under the count limit but ~5 GiB by size take the join path:
+    no driver collect of the records, and the same rows as the broadcast
+    run."""
+    import entityblockingbysimilarityjoins_ray.stages.verify as V
+
+    docs, pairs = _attach_inputs()
+
+    def frame(ds):
+        df = ds.to_pandas()
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    bcast = frame(case(docs, pairs))
+    assert len(bcast) > 0
+
+    def poisoned(*a, **k):
+        raise AssertionError("driver collect beyond the bytes limit")
+
+    monkeypatch.setattr(ray.data.Dataset, "size_bytes", lambda self: 5 << 30)
+    monkeypatch.setattr(V, "collect_arrow", poisoned)
+    joined = frame(case(docs, pairs))
+    pd.testing.assert_frame_equal(bcast, joined[bcast.columns], check_exact=True)
+
+
+def test_attach_pairs_branches_carry_pair_columns(ray_session):
+    """Both branches hand the kernel every pair column and -1 rows for
+    unknown ids; a kernel that fills keeps every pair."""
+    from entityblockingbysimilarityjoins_ray.stages.joins import PairKernel, attach_pairs
+
+    records = ray.data.from_pandas(pd.DataFrame({"conv_id": ["a", "b", "c"],
+                                                 "x": [1.5, 2.5, 3.5]}))
+    pairs = ray.data.from_pandas(pd.DataFrame({
+        "id1": ["a", "b", "zz"], "id2": ["c", "yy", "a"], "w": [7, 8, 9]}))
+
+    def apply(x, t, r1, r2):
+        x = np.append(x, np.nan)  # row -1 reads NaN
+        return (t.append_column("x1", pa.array(x[r1]))
+                 .append_column("x2", pa.array(x[r2])))
+
+    kernel = PairKernel(lambda tbl: np.asarray(tbl.column("x"), dtype=np.float64), apply)
+    outs = [attach_pairs(pairs, records, kernel, broadcast_limit=10, broadcast=b,
+                         num_partitions=4).to_pandas().sort_values("id1")
+            .reset_index(drop=True) for b in (True, False)]
+    pd.testing.assert_frame_equal(outs[0], outs[1])
+    assert list(outs[0].columns) == ["id1", "id2", "w", "x1", "x2"]
+    assert outs[0]["w"].tolist() == [7, 8, 9]
+    assert outs[0]["x1"].tolist()[:2] == [1.5, 2.5] and np.isnan(outs[0]["x2"][1])
+
+
+def test_no_pair_attach_hash_join_outside_joins():
+    """Pair payload attaches go through attach_pairs: no module of the
+    package calls hash_join keyed on a pair id column except joins.py."""
+    import ast
+    import pathlib
+
+    import entityblockingbysimilarityjoins_ray as pkg
+
+    root = pathlib.Path(pkg.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "joins.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name != "hash_join":
+                continue
+            keys = {kw.value.value for kw in node.keywords
+                    if kw.arg in ("on", "right_on") and isinstance(kw.value, ast.Constant)}
+            if keys & {"id1", "id2"}:
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == [], offenders

@@ -181,3 +181,36 @@ def test_rule_name_with_underscored_attr():
     assert (r.attr, r.sim) == ("n_turns", "anm")
     r = rule_from_feature_name("beer_name_beer_name_jac_dlm_dc0", 0.7)
     assert (r.attr, r.sim, r.tok) == ("beer_name", "jac", "dlm")
+
+
+def test_grid_plan_features_take_attach_join(tiny_fixture, monkeypatch):
+    """broadcast_limit=0 sends run_pipeline's features through attach_pairs'
+    join branch; feature rows and matches equal the default plan's."""
+    import entityblockingbysimilarityjoins_ray.pipelines.er as er
+    import entityblockingbysimilarityjoins_ray.stages.joins as J
+
+    tdf, gold_pairs, _ = tiny_fixture
+    joins_taken, feats = [], []
+    real_join, real_extract = J._attach_join, er.extract_features
+
+    def spy_join(*a, **k):
+        joins_taken.append(1)
+        return real_join(*a, **k)
+
+    def spy_extract(*a, **k):
+        out = real_extract(*a, **k).materialize()
+        feats.append(out.to_pandas().sort_values(["id1", "id2"]).reset_index(drop=True))
+        return out
+
+    monkeypatch.setattr(J, "_attach_join", spy_join)
+    monkeypatch.setattr(er, "extract_features", spy_extract)
+    runs = []
+    for limit in (2_000_000, 0):
+        res = run_pipeline(ray.data.from_pandas(tdf), _cfg(broadcast_limit=limit),
+                           gold_pairs=gold_pairs)
+        runs.append(res["matches"].to_pandas().sort_values(["id1", "id2"])
+                    .reset_index(drop=True))
+        assert len(joins_taken) == (limit == 0), limit
+    pd.testing.assert_frame_equal(feats[0], feats[1], check_exact=True)
+    pd.testing.assert_frame_equal(runs[0], runs[1], check_exact=True)
+    assert len(feats[0]) > 0 and len(runs[0]) > 0

@@ -88,16 +88,37 @@ def test_write_match_results(tmp_path, tiny_docs, ray_session):
 
 
 def test_enrich_pairs_join_path_matches_broadcast(tiny_docs, ray_session):
+    """Both plans emit the same rows, columns (in order) and dtypes: a pair
+    with an unknown id is dropped, an int attr stays int."""
     docs, pdocs = tiny_docs
     ids = sorted(pdocs["conv_id"])[:8]
-    pairs = pd.DataFrame({"id1": ids[:4], "id2": ids[4:]})
-    a = enrich_pairs(ray.data.from_pandas(pairs), docs, ["head"]).to_pandas()
-    b = enrich_pairs(ray.data.from_pandas(pairs), docs, ["head"],
+    pairs = pd.DataFrame({"id1": ids[:4] + ["GHOST"], "id2": ids[4:] + [ids[0]],
+                          "label": [1, 0, 1, 0, 1]})
+    a = enrich_pairs(ray.data.from_pandas(pairs), docs, ["head", "n_turns"]).to_pandas()
+    b = enrich_pairs(ray.data.from_pandas(pairs), docs, ["head", "n_turns"],
                      broadcast_limit=0, num_partitions=4).to_pandas()
-    cols = ["id1", "id2", "ltable_head", "rtable_head"]
-    a = a[cols].sort_values(["id1", "id2"]).reset_index(drop=True)
-    b = b[cols].sort_values(["id1", "id2"]).reset_index(drop=True)
-    assert a.equals(b)
+    cols = ["id1", "id2", "label", "ltable_head", "rtable_head",
+            "ltable_n_turns", "rtable_n_turns"]
+    assert list(a.columns) == cols and list(b.columns) == cols
+    a = a.sort_values(["id1", "id2"]).reset_index(drop=True)
+    b = b.sort_values(["id1", "id2"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, b, check_exact=True)
+    assert len(a) == 4 and "GHOST" not in set(a["id1"])
+    assert a["ltable_n_turns"].dtype == pdocs["n_turns"].dtype
+    v = pdocs.set_index("conv_id")
+    assert a["rtable_n_turns"].tolist() == v.loc[a["id2"], "n_turns"].tolist()
+
+
+@pytest.mark.parametrize("limit", [2_000_000, 0], ids=["broadcast", "join"])
+def test_enrich_pairs_rejects_duplicate_ids(limit, ray_session):
+    """A conv_id that occurs twice in the docs raises a ValueError naming
+    it on both plans (on the driver, or in the join task)."""
+    docs = ray.data.from_pandas(pd.DataFrame({
+        "conv_id": ["a", "b", "a"], "head": ["x", "y", "z"]}))
+    pairs = ray.data.from_pandas(pd.DataFrame({"id1": ["a"], "id2": ["b"]}))
+    with pytest.raises(ValueError, match="conv_id 'a' occurs more than once"):
+        enrich_pairs(pairs, docs, ["head"], broadcast_limit=limit,
+                     num_partitions=4).materialize()
 
 
 def test_write_sample_res_layout(tmp_path, tiny_docs, ray_session):
