@@ -1,8 +1,14 @@
-"""Deterministic vectorized hashing utilities.
+"""Deterministic vectorized hashing utilities, and the pair expansions
+every join shares.
 
 All hashes are process-independent (no PYTHONHASHSEED dependence) so that
 results are identical across workers, runs and parallelism levels — the
 determinism requirement of FIXTURES.md F4.
+
+Pairs expand at most PAIR_CHUNK at a time: iter_pairs is the one decoder
+of within-bucket pairs (triangle or rectangle, over the side runs of
+side_runs), probe_pairs expands a sorted-index probe.  A plan reads
+PAIR_CHUNK when it is built and hands it to its tasks.
 """
 
 from __future__ import annotations
@@ -86,62 +92,60 @@ def bucket_of(hashes: np.ndarray, num_buckets: int) -> np.ndarray:
     return (h % _U64(num_buckets)).astype(np.int64)
 
 
-def within_group_pairs(group_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All (i, j) index pairs with i < j inside each contiguous group, vectorized.
-
-    ``group_sizes`` are the sizes of consecutive groups laid out back-to-back
-    in a flat array; returns global indices into that flat array.  This is the
-    vectorized replacement for the reference's per-inverted-list nested pair
-    loops (/root/reference/cpp/common/ovlpjoin.cc:448-...) — no Python loop
-    over rows or groups.
-    """
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    if sizes.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    npairs = sizes * (sizes - 1) // 2
-    total = int(npairs.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-
-    # For each group g emit pairs in row-major order of j (j = 1..m-1, i < j):
-    # pair p within group maps to j = floor((1+sqrt(1+8p))/2), i = p - j(j-1)/2
-    grp = np.repeat(np.arange(sizes.size), npairs)
-    p_local = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(npairs)[:-1])), npairs)
-    j = ((1.0 + np.sqrt(1.0 + 8.0 * p_local)) / 2.0).astype(np.int64)
-    # float guard: fix off-by-one from sqrt rounding
-    j_lo = j * (j - 1) // 2
-    j = np.where(p_local < j_lo, j - 1, j)
-    j = np.where(p_local >= (j + 1) * j // 2, j + 1, j)
-    i = p_local - j * (j - 1) // 2
-    base = starts[grp]
-    return base + i, base + j
+PAIR_CHUNK = 262_144  # pairs per iter_pairs chunk, raw candidates per probe_pairs chunk
 
 
-def bipartite_pairs(
-    starts_a: np.ndarray, sizes_a: np.ndarray, starts_b: np.ndarray, sizes_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All cross pairs (i from side A, j from side B) per group, vectorized.
+def side_runs(side: np.ndarray, *keys: np.ndarray):
+    """``(starts, na, nb)`` of the runs of equal ``keys`` in rows sorted by
+    (keys, side): each run holds ``na`` side-0 rows, then ``nb`` side-1
+    rows — the two halves a bucket of a two-sided join pairs across."""
+    n = side.size
+    if n == 0:
+        e = np.empty(0, np.int64)
+        return e, e, e
+    change = np.zeros(n, bool)
+    change[0] = True
+    for k in keys:
+        change[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(change)
+    na = np.add.reduceat((side == 0).astype(np.int64), starts)
+    return starts, na, np.diff(np.append(starts, n)) - na
 
-    Used by salted blocking cells: records in salt shard u pair with records
-    in shard v (u < v) — the 'triangle' replication scheme that splits a hot
-    blocking key's quadratic pair space across salt_factor^2/2 shuffle cells.
-    """
+
+def iter_pairs(starts_a, sizes_a, starts_b=None, sizes_b=None, *, chunk: int):
+    """Yield ``(ii, jj)`` global row-index chunks of at most ``chunk`` pairs
+    over groups of rows laid out in ranges: every i < j pair inside each A
+    range ``[starts_a, starts_a + sizes_a)`` (triangle, ``starts_b`` None),
+    or every cross pair of each A range with its B range (rectangle).
+
+    The one pair decoder of the package — the vectorized replacement for
+    the reference's per-inverted-list nested pair loops
+    (/root/reference/cpp/common/ovlpjoin.cc:448-...).  Pairs come group by
+    group, A row by A row, partner ascending (``itertools.combinations`` /
+    ``product`` order), whatever ``chunk`` is.  Each A row owns a run of
+    pair numbers; a chunk finds its first and last row with two
+    ``searchsorted`` calls and expands the rows between with ``np.repeat``,
+    so a hot group of m rows never materializes its m^2 index space."""
+    st = np.asarray(starts_a, np.int64)
     sa = np.asarray(sizes_a, np.int64)
-    sb = np.asarray(sizes_b, np.int64)
-    npairs = sa * sb
-    total = int(npairs.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    grp = np.repeat(np.arange(sa.size), npairs)
-    p = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(npairs)[:-1])), npairs)
-    szb = sb[grp]
-    i = p // szb
-    j = p % szb
-    return starts_a[grp] + i, starts_b[grp] + j
-
-
-PROBE_CHUNK = 262_144  # raw candidates per probe_pairs chunk
+    x = np.arange(int(sa.sum()), dtype=np.int64) + np.repeat(st - np.cumsum(sa) + sa, sa)
+    if starts_b is None:  # row x pairs with the rows after it in its range
+        first = x + 1
+        cnt = np.repeat(st + sa, sa) - first
+    else:
+        first = np.repeat(np.asarray(starts_b, np.int64), sa)
+        cnt = np.repeat(np.asarray(sizes_b, np.int64), sa)
+    live = cnt > 0
+    x, first, cnt = x[live], first[live], cnt[live]
+    end = np.cumsum(cnt)
+    total = int(end[-1]) if end.size else 0
+    for p0 in range(0, total, chunk):
+        p1 = min(p0 + chunk, total)
+        r0 = int(np.searchsorted(end, p0, "right"))
+        r1 = int(np.searchsorted(end, p1 - 1, "right")) + 1
+        lo = end[r0:r1] - cnt[r0:r1]  # each row's first pair number
+        n = np.minimum(end[r0:r1], p1) - np.maximum(lo, p0)
+        yield np.repeat(x[r0:r1], n), np.repeat(first[r0:r1] - lo, n) + np.arange(p0, p1)
 
 
 def probe_pairs(row, lo, cnt, srows, n_index: int, keep, chunk: int):

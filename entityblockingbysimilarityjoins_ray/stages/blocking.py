@@ -31,18 +31,22 @@ prefixes of _prefix and the PPJoin filters of _pair_filter:
 
 Skew handling: prefix tokens are the globally rarest tokens of each record
 (mirroring the reference's df-ordered token ids, tokenizer.cc:332-337),
-which already starves hot keys.  A probe expands its candidates in bounded
-chunks (functions.hashing.probe_pairs), so a hot posting list costs time,
-not memory.  On the grid plan only, any token with df > salt_df_threshold
-is *triangle-salted* into salt_factor shards — records carry their shard u
-and are replicated to cells (u,u) and (min(u,v),max(u,v)) so each cell
-holds a bounded slice of the quadratic pair space.  Optional max_group_size
-caps runaway keys per shuffle group with LOGGED truncation (reference
-analogue: MAX_INV_SIZE, config.h:109-110 — never silent).
+which already starves hot keys.  Every pair expansion is chunked at
+functions.hashing.PAIR_CHUNK pairs — a probe's candidates by probe_pairs,
+every within-bucket decode (grid pair generation, the exact and anm value
+joins, the empty-record clique) by iter_pairs — so a hot posting list or
+an equal-value clique costs time, not memory.  On the grid plan only, any
+token with df > salt_df_threshold is *triangle-salted* into salt_factor
+shards — records carry their shard u and are replicated to cells (u,u) and
+(min(u,v),max(u,v)) so each cell holds a bounded slice of the quadratic
+pair space.  Optional max_group_size caps runaway keys per shuffle group
+with LOGGED truncation (reference analogue: MAX_INV_SIZE,
+config.h:109-110 — never silent).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 
 import numpy as np
@@ -52,14 +56,15 @@ import ray
 import ray.data
 
 from ..config import PipelineConfig
+from ..functions import hashing as H
 from ..functions.hashing import (
-    PROBE_CHUNK,
-    bipartite_pairs,
-    get_broadcast,
     bucket_of,
+    get_broadcast,
     group_sizes_from_sorted,
     hash_strings,
+    iter_pairs,
     probe_pairs,
+    side_runs,
 )
 from ..functions.tokenize import tokens_list_array
 from ..raycompat import strip_pandas_metadata
@@ -354,126 +359,63 @@ def _pair_filter(la, lb, ra, rb, rules: list[tuple[str, float]],
     return mask & (1.0 + np.minimum(ra, rb) >= T)
 
 
-def _iter_triangle_chunks(starts, sizes, chunk_pairs: int = 262_144):
-    """Yield (ii, jj) global-row-index chunks over ALL within-group pairs
-    of back-to-back sorted groups — within_group_pairs decoded
-    ``chunk_pairs`` pair numbers at a time, so a hot equal-value clique of
-    m records never materializes its m(m-1)/2 index space at once (shared
-    by the grid set-sim pairgen and the exact and anm joins)."""
-    cum = np.cumsum(sizes * (sizes - 1) // 2)
-    total = int(cum[-1]) if cum.size else 0
-    for p0 in range(0, total, chunk_pairs):
-        p = np.arange(p0, min(p0 + chunk_pairs, total), dtype=np.int64)
-        grp = np.searchsorted(cum, p, side="right")
-        p_local = p - np.where(grp > 0, cum[grp - 1], 0)
-        j = ((1.0 + np.sqrt(1.0 + 8.0 * p_local)) / 2.0).astype(np.int64)
-        j = np.where(p_local < j * (j - 1) // 2, j - 1, j)  # sqrt rounding
-        j = np.where(p_local >= (j + 1) * j // 2, j + 1, j)
-        i = p_local - j * (j - 1) // 2
-        yield starts[grp] + i, starts[grp] + j
-
-
 def _pairgen_bucket(
     t: pa.Table, *, rules: list[tuple[str, float]], alpha: float | None,
-    max_group_size: int | None, chunk_pairs: int = 262_144, rs: bool = False,
+    max_group_size: int | None, rs: bool = False, chunk: int = H.PAIR_CHUNK,
 ) -> pa.Table:
     """Vectorized within-bucket candidate generation (the grid plan) with
     _pair_filter's length and positional pruning — hot-token groups, where
     every member carries the token near the END of its prefix, are pruned
-    from quadratic to near-zero.
-
-    Candidate index space is decoded in fixed-size chunks so a hot group
-    never materializes its full m^2/2 index range at once.
+    from quadratic to near-zero.  Pairs decode ``chunk`` at a time
+    (iter_pairs): the triangle of each one-sided (tok, cell) run — none in
+    RS mode — and the side-0 x side-1 rectangle of each two-sided one.
 
     ``rules``: the pairwise bound is the element-wise loosest min over the
     rules (see _emit_signatures); ``alpha`` must be their fused (minimum)
     length-ratio (fused_length_ratio), computed by the caller."""
-    tok = np.asarray(t.column("tok"), dtype=np.int64)
-    cell = np.asarray(t.column("cell"), dtype=np.int64)
-    side = np.asarray(t.column("side"), dtype=np.int64)
-    idh_raw = np.asarray(t.column("idh"), dtype=np.int64)
-    tlen = np.asarray(t.column("tlen"), dtype=np.int64)
-    pos = np.asarray(t.column("pos"), dtype=np.int64)
     empty = pa.table(
         {"k1": pa.array([], pa.int64()), "k2": pa.array([], pa.int64())})
-    if tok.size == 0:
+    if t.num_rows == 0:
         return empty
-
+    tok, cell, side, idh, tlen, pos = (np.asarray(t.column(c), dtype=np.int64)
+                                       for c in ("tok", "cell", "side", "idh", "tlen", "pos"))
     order = np.lexsort((side, cell, tok))
-    tok, cell, side, tlen, pos = tok[order], cell[order], side[order], tlen[order], pos[order]
-    idh = idh_raw[order]
+    tok, cell, side, idh, tlen, pos = (c[order] for c in (tok, cell, side, idh, tlen, pos))
+    starts, na, nb = side_runs(side, tok, cell)
 
-    def _run_bounds(tok_s: np.ndarray, cell_s: np.ndarray):
-        # array is lexsorted by (tok, cell): boundaries straight from the
-        # columns — no fused-hash collision hole
-        change = (tok_s[1:] != tok_s[:-1]) | (cell_s[1:] != cell_s[:-1])
-        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-        sizes = np.diff(np.concatenate((starts, [tok_s.size])))
-        return starts, sizes
-
-    starts, sizes = _run_bounds(tok, cell)
-
-    if max_group_size is not None and tok.size:
+    if max_group_size is not None and max(na.max(), nb.max()) > max_group_size:
         # cap PER (group, side): rows in a run sort side-0-first, so a
         # whole-run cap on a skewed RS group would keep only index-side
         # rows and emit ZERO cross pairs instead of a bounded subset;
         # per-side caps keep min(n, cap) rows of EACH side (pairs bounded
         # by cap^2 per group, recall degrades gracefully)
-        seg_change = np.ones(tok.size, bool)
-        seg_change[1:] = ((tok[1:] != tok[:-1]) | (cell[1:] != cell[:-1])
-                          | (side[1:] != side[:-1]))
-        seg_starts = np.flatnonzero(seg_change)
-        seg_sizes = np.diff(np.concatenate((seg_starts, [tok.size])))
-        if seg_sizes.max() > max_group_size:
-            local = np.arange(tok.size) - np.repeat(seg_starts, seg_sizes)
-            keep_mask = local < max_group_size
-            logger.warning(
-                "blocking: truncating %d hot group sides (dropping %d "
-                "signature rows, cap=%d)",
-                int((seg_sizes > max_group_size).sum()),
-                int(tok.size - int(keep_mask.sum())), max_group_size,
-            )
-            tok, cell, side, idh, tlen, pos = (
-                tok[keep_mask], cell[keep_mask], side[keep_mask],
-                idh[keep_mask], tlen[keep_mask], pos[keep_mask],
-            )
-            starts, sizes = _run_bounds(tok, cell)
-
-    # split each run into side-0 and side-1 halves (side sorted within run)
-    na = np.zeros(sizes.size, np.int64)
-    run_id = np.repeat(np.arange(sizes.size), sizes)
-    np.add.at(na, run_id[side == 0], 1)
-    nb = sizes - na
+        local = (np.arange(tok.size) - np.repeat(starts, na + nb)
+                 - np.where(side == 0, 0, np.repeat(na, na + nb)))
+        keep = local < max_group_size
+        logger.warning(
+            "blocking: truncating %d hot group sides (dropping %d "
+            "signature rows, cap=%d)",
+            int((na > max_group_size).sum() + (nb > max_group_size).sum()),
+            int(tok.size - keep.sum()), max_group_size,
+        )
+        tok, cell, side, idh, tlen, pos = (
+            c[keep] for c in (tok, cell, side, idh, tlen, pos))
+        starts, na, nb = side_runs(side, tok, cell)
     remain = tlen - pos - 1  # tokens after this signature position
 
+    tri = nb == 0
+    decodes = [iter_pairs(starts[~tri], na[~tri], starts[~tri] + na[~tri], nb[~tri],
+                          chunk=chunk)]
+    if not rs:  # RS mode: a single-side group has no cross pairs
+        decodes.append(iter_pairs(starts[tri], na[tri], chunk=chunk))
     out1: list[np.ndarray] = []
     out2: list[np.ndarray] = []
-
-    def emit(ii: np.ndarray, jj: np.ndarray):
+    for ii, jj in itertools.chain(*decodes):
         mask = _pair_filter(tlen[ii], tlen[jj], remain[ii], remain[jj], rules, alpha)
         if not rs:
             mask &= idh[ii] != idh[jj]  # self-pairs (64-bit id-hash dedup)
         out1.append(ii[mask])
         out2.append(jj[mask])
-
-    # triangle groups (unsalted + self-cells), chunked pair-range decode.
-    # RS mode: a single-side group has no cross pairs — skip entirely.
-    tri = nb == 0
-    if not rs:
-        for ii, jj in _iter_triangle_chunks(starts[tri], na[tri], chunk_pairs):
-            emit(ii, jj)
-
-    # bipartite groups (salted cross cells), chunked
-    cross = ~tri
-    sa, sb, st = na[cross], nb[cross], starts[cross]
-    cum_bi = np.cumsum(sa * sb)
-    total_bi = int(cum_bi[-1]) if cum_bi.size else 0
-    for p0 in range(0, total_bi, chunk_pairs):
-        p = np.arange(p0, min(p0 + chunk_pairs, total_bi), dtype=np.int64)
-        grp = np.searchsorted(cum_bi, p, side="right")
-        p_local = p - np.where(grp > 0, cum_bi[grp - 1], 0)
-        szb = sb[grp]
-        emit(st[grp] + p_local // szb, st[grp] + sa[grp] + p_local % szb)
 
     if not out1:
         return empty
@@ -514,7 +456,8 @@ def _grid_candidates(sides: list, df_ref, rules: list[tuple[str, float]],
     return (sigs[0].union(sigs[1]) if rs else sigs[0]).groupby("pb").map_groups(
         _pairgen_bucket, batch_format="pyarrow",
         fn_kwargs={"rules": rules, "alpha": fused_length_ratio(rules),
-                   "max_group_size": cfg.max_group_size, "rs": rs})
+                   "max_group_size": cfg.max_group_size, "rs": rs,
+                   "chunk": H.PAIR_CHUNK})
 
 
 def verify_shards(cfg: PipelineConfig) -> int:
@@ -596,9 +539,6 @@ def dedupe_pairs(pairs: "ray.data.Dataset", num_partitions: int, count_col: str 
         .groupby("pb")
         .map_groups(dd, batch_format="pyarrow")
     )
-
-
-_PROBE_CHUNK = PROBE_CHUNK  # read per call, so tests can shrink it
 
 
 def _probe_index(idx, rules: list[tuple[str, float]]):
@@ -687,7 +627,7 @@ def _probe_join(probe_ds, idx, verify_ref, rules, tables: str):
     return probe_ds.select_columns(["conv_id"]).map_batches(
         _setsim_probe, batch_format="pyarrow",
         fn_kwargs=dict(toks_ref=verify_ref, probe_ref=ray.put(_probe_index(idx, rules)),
-                       rules=rules, chunk=_PROBE_CHUNK))
+                       rules=rules, chunk=H.PAIR_CHUNK))
 
 
 def index_empty_ids(index, offs, limit: int = 5_000_000) -> list:
@@ -723,81 +663,45 @@ def _capped_empty_ids(ids: list, limit: int) -> list:
     return sorted(ids)
 
 
-def _empty_pairs_ds(toks_ds, cfg: PipelineConfig, ids: list | None = None):
-    """Pairs of empty-token records: jaccard(∅,∅)=1.0 (simfunc.cc:129-130).
-
-    The empty records form one complete clique; above the driver-expansion
-    threshold the n(n-1)/2 pairs are generated DISTRIBUTED (one task per
-    left-id chunk) — exact at any n, never a silent cap."""
-    if ids is None:
-        ids = empty_record_ids(toks_ds)
-    n = len(ids)
-    if n < 2:
+def _empty_pairs_ds(toks_ds, cfg: PipelineConfig, ids: list | None = None,
+                    ids_b: list | None = None):
+    """Pairs of empty-token records, jaccard(∅,∅)=1.0 (simfunc.cc:129-130):
+    the clique of ``ids`` (one table, ids canonical; scanned from
+    ``toks_ds`` when None), or ``ids`` x ``ids_b`` (two tables, (A, B)
+    order).  Up to 100k pairs expand on the driver; beyond, DISTRIBUTED —
+    one task per A-id chunk, the ids broadcast once — exact at any size,
+    never a silent cap."""
+    a = np.asarray(sorted(empty_record_ids(toks_ds) if ids is None else ids), object)
+    b = a if ids_b is None else np.asarray(sorted(ids_b), object)
+    n_pairs = a.size * (a.size - 1) // 2 if ids_b is None else a.size * b.size
+    if n_pairs == 0:
         return None
-    ids = sorted(ids)
-    if n <= 2000:
-        rows = [
-            {"id1": ids[i], "id2": ids[j], "sim": 1.0}
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        return ray.data.from_items(rows)
-    logger.warning(
-        "blocking: %d empty records -> %d empty pairs generated distributed",
-        n, n * (n - 1) // 2,
-    )
-    ids_ref = ray.put(np.asarray(ids, dtype=object))
+    chunk, clique = H.PAIR_CHUNK, ids_b is None
 
-    def expand(t: pa.Table) -> pa.Table:
-        all_ids = get_broadcast(ids_ref)
-        i_arr = np.asarray(t.column("i"), dtype=np.int64)
-        counts = n - 1 - i_arr
-        ii = np.repeat(i_arr, counts)
-        jj = np.arange(int(counts.sum())) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        ) + ii + 1
-        return pa.table({
-            "id1": pa.array(all_ids[ii], pa.string()),
-            "id2": pa.array(all_ids[jj], pa.string()),
-            "sim": pa.array(np.ones(ii.size), pa.float64()),
-        })
+    def expand(rows, a, b):
+        # A row r pairs with B rows [lo, |B|): the rows after it in a clique
+        lo = rows + 1 if clique else np.zeros_like(rows)
+        for ii, jj in iter_pairs(rows, np.ones_like(rows), lo, b.size - lo, chunk=chunk):
+            yield pa.table({"id1": pa.array(a[ii], pa.string()),
+                            "id2": pa.array(b[jj], pa.string()),
+                            "sim": pa.array(np.ones(ii.size), pa.float64())})
 
-    left = ray.data.from_items([{"i": i} for i in range(n - 1)])
-    return left.map_batches(expand, batch_format="pyarrow", batch_size=256)
+    if n_pairs <= 100_000:
+        return ray.data.from_arrow(list(expand(np.arange(a.size), a, b)))
+    logger.warning("blocking: %d x %d empty records -> %d empty pairs generated "
+                   "distributed", a.size, b.size, n_pairs)
+    ref = ray.put((a, b))
+
+    def task(t: pa.Table):
+        yield from expand(np.asarray(t.column("id"), np.int64), *get_broadcast(ref))
+
+    return ray.data.range(a.size).map_batches(
+        task, batch_format="pyarrow", batch_size=max(1, (1 << 21) // b.size))
 
 
 def _empty_pairs_rs_ds(ea: list, eb: list):
-    """A x B pairs of empty-token records (jaccard(∅,∅)=1.0) — the RS
-    counterpart of _empty_pairs_ds: exact at any size, generated DISTRIBUTED
-    above the driver-expansion threshold (one task per left-id chunk, the
-    B-side id array broadcast once) — never a silent cap."""
-    na, nb = len(ea), len(eb)
-    if na == 0 or nb == 0:
-        return None
-    ea, eb = sorted(ea), sorted(eb)
-    if na * nb <= 100_000:
-        rows = [{"id1": a, "id2": b, "sim": 1.0} for a in ea for b in eb]
-        return ray.data.from_items(rows)
-    logger.warning(
-        "rs blocking: %d x %d empty records -> %d empty pairs generated distributed",
-        na, nb, na * nb,
-    )
-    b_ref = ray.put(np.asarray(eb, dtype=object))
-
-    def expand(t: pa.Table) -> pa.Table:
-        all_b = get_broadcast(b_ref)
-        a = np.asarray(t.column("id1").to_numpy(zero_copy_only=False), dtype=object)
-        ii = np.repeat(np.arange(a.size), all_b.size)
-        jj = np.tile(np.arange(all_b.size), a.size)
-        return pa.table({
-            "id1": pa.array(a[ii], pa.string()),
-            "id2": pa.array(all_b[jj], pa.string()),
-            "sim": pa.array(np.ones(ii.size), pa.float64()),
-        })
-
-    left = ray.data.from_items([{"id1": a} for a in ea])
-    return left.map_batches(expand, batch_format="pyarrow",
-                            batch_size=max(1, (1 << 21) // nb))
+    """A x B pairs of empty-token records (the two-table _empty_pairs_ds)."""
+    return _empty_pairs_ds(None, None, ea, eb)
 
 
 def setsim_self_join(
@@ -948,64 +852,164 @@ def _ids_str(col) -> np.ndarray:
     return np.asarray(col.to_numpy(zero_copy_only=False), dtype=object).astype("U")
 
 
-def exact_self_join(
-    docs: "ray.data.Dataset", attr: str, cfg: PipelineConfig
-) -> "ray.data.Dataset":
-    """Equality self-join on an attribute (reference ExactJoin,
-    stringjoin.h:210-289): hash-bucket groupby on value hash + vectorized
-    within-equal-value pair generation; sim = 1.0 for every pair.
+def _value_join(docs_a, docs_b, cfg: PipelineConfig, sig, keep,
+                max_band_pairs: int | None = None) -> "ray.data.Dataset":
+    """The exact and anm joins' one body: a value-bucket join, self
+    (``docs_b`` None) or RS (reference ExactJoin and its RS variant,
+    stringjoin.h:210-289, stringjoin_parallel.h:495-599).
 
-    Arrow batches end to end — no pandas blocks (whose schema metadata
-    defeats Ray's reduce-side schema dedup) enter the shuffle."""
+    ``sig(t, table)`` maps a batch of table 0 (A) or 1 (B) to emitted rows
+    ``(key, side, id, val)``.  Rows shuffle by key hash, sort by (key,
+    side) and pair within each key, ``chunk`` at a time (iter_pairs): a
+    self join pairs the side-0 rows among themselves (triangle) and with
+    the side-1 rows (rectangle), ids canonical (min, max) and self pairs
+    dropped; an RS join pairs side 0 (A) with side 1 (B) only, in (A, B)
+    order.  ``keep(val, ii, jj)`` gives each candidate's (mask, sim).  No
+    dedup shuffle: each pair meets under exactly one key (see the callers).
 
-    def sig(t: pa.Table) -> pa.Table:
-        vals = _fillna_str(t.column(attr))
-        h = hash_strings(vals)
-        return pa.table({
-            "pb": pa.array(bucket_of(h, cfg.pair_partitions), pa.int32()),
-            "vh": pa.array(h, pa.int64()),
-            "id": pa.array(_ids_str(t.column("conv_id")), pa.string()),
-            "val": pa.array(vals.astype("U"), pa.string()),
-        })
+    ``max_band_pairs``: a key whose side-0 x side-1 rectangle exceeds it
+    keeps its first whole side-0 rows until the cap fills, with a LOGGED
+    warning — the reference's MAX_PAIR_SIZE (simjoin_blocker.cc:324-367,
+    config.h) — instead of exploding a worker.  None = exact."""
+    rs = docs_b is not None
+    chunk = H.PAIR_CHUNK
+
+    def emit(table):
+        def f(t: pa.Table) -> pa.Table:
+            key, side, ids, val = sig(t, table)
+            return pa.table({
+                "pb": pa.array(bucket_of(key, cfg.pair_partitions), pa.int32()),
+                "key": pa.array(key, pa.int64()),
+                "side": pa.array(side, pa.int8()),
+                "id": pa.array(ids, pa.string()),
+                "val": pa.array(val),
+            })
+
+        return f
 
     def pairs(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return _EMPTY_PAIRS
-        vh = np.asarray(t.column("vh"), dtype=np.int64)
+        key = np.asarray(t.column("key"), dtype=np.int64)
+        side = np.asarray(t.column("side"), dtype=np.int8)
         ids = _ids_str(t.column("id"))
-        vals = np.asarray(t.column("val").to_numpy(zero_copy_only=False),
-                          dtype="U")
-        order = np.argsort(vh, kind="stable")
-        vh, ids, vals = vh[order], ids[order], vals[order]
-        starts, sizes = group_sizes_from_sorted(vh)
-        # chunked decode: a hot equal-value clique (e.g. a null-heavy attr
-        # all mapping to "") never materializes its full m^2/2 index space
-        p1l, p2l = [], []
-        for ii, jj in _iter_triangle_chunks(starts, sizes):
-            # guard against u64 hash collisions: require true value equality
-            eq = vals[ii] == vals[jj]
-            ii, jj = ii[eq], jj[eq]
-            a, b = ids[ii], ids[jj]
-            swap = a > b
-            p1l.append(np.where(swap, b, a))
-            p2l.append(np.where(swap, a, b))
-        if not p1l:
-            return _EMPTY_PAIRS
-        a = np.concatenate(p1l)
-        b = np.concatenate(p2l)
+        val = t.column("val").to_numpy()
+        if val.dtype == object:
+            val = val.astype("U")
+        # stable: within a key the side-0 rows keep arrival order, so the
+        # cap below keeps the same first rows on every run
+        order = np.lexsort((side, key))
+        side, ids, val = side[order], ids[order], val[order]
+        starts, na, nb = side_runs(side, key[order])
+        b_starts = starts + na
+        if max_band_pairs is not None:
+            over = na * nb > max_band_pairs
+            if over.any():
+                logger.warning(
+                    "value join: %d dense key(s) exceed max_band_pairs=%d "
+                    "(largest %dx%d); truncating their A side (recall loss "
+                    "possible; raise the cap to make exact)",
+                    int(over.sum()), max_band_pairs,
+                    int(na[over].max()), int(nb[over].max()))
+                capped = np.maximum(1, max_band_pairs // np.maximum(nb, 1))
+                na = np.where(over, np.minimum(na, capped), na)
+        decodes = [iter_pairs(starts, na, b_starts, nb, chunk=chunk)]
+        if not rs:
+            decodes.append(iter_pairs(starts, na, chunk=chunk))
+        p1l, p2l, sl = [np.empty(0, "U1")], [np.empty(0, "U1")], [np.empty(0)]
+        for ii, jj in itertools.chain(*decodes):
+            ok, s = keep(val, ii, jj)
+            if not rs:
+                ok &= ids[ii] != ids[jj]
+            a, b = ids[ii[ok]], ids[jj[ok]]
+            if not rs:
+                a, b = np.where(a < b, a, b), np.where(a < b, b, a)
+            p1l.append(a)
+            p2l.append(b)
+            sl.append(s[ok])
         return pa.table({
-            "id1": pa.array(a, pa.string()),
-            "id2": pa.array(b, pa.string()),
-            "sim": pa.array(np.ones(a.size, np.float64), pa.float64()),
+            "id1": pa.array(np.concatenate(p1l), pa.string()),
+            "id2": pa.array(np.concatenate(p2l), pa.string()),
+            "sim": pa.array(np.concatenate(sl), pa.float64()),
         })
 
-    # no dedup shuffle needed: each value hash lives in exactly one pb
-    # bucket, so a pair of equal-valued records is emitted exactly once
-    return (
-        docs.map_batches(sig, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+    sigs = docs_a.map_batches(emit(0), batch_format="pyarrow")
+    if rs:
+        sigs = sigs.union(docs_b.map_batches(emit(1), batch_format="pyarrow"))
+    return sigs.groupby("pb").map_groups(pairs, batch_format="pyarrow")
+
+
+def _exact_sig(attr: str):
+    """Exact-join emission: every record once under its value hash (nulls
+    read as ""), side = its table; the value itself guards against 64-bit
+    hash collisions."""
+    def sig(t: pa.Table, table: int):
+        vals = _fillna_str(t.column(attr))
+        return (hash_strings(vals), np.full(vals.size, table, np.int8),
+                _ids_str(t.column("conv_id")), vals.astype("U"))
+
+    return sig
+
+
+def _exact_keep(val, ii, jj):
+    eq = val[ii] == val[jj]
+    return eq, np.ones(ii.size)
+
+
+def exact_self_join(
+    docs: "ray.data.Dataset", attr: str, cfg: PipelineConfig
+) -> "ray.data.Dataset":
+    """Equality self-join on an attribute (reference ExactJoin,
+    stringjoin.h:210-289): every pair of records with equal values, sim =
+    1.0 — a pair meets under its one value hash (_value_join).
+
+    Arrow batches end to end — no pandas blocks (whose schema metadata
+    defeats Ray's reduce-side schema dedup) enter the shuffle."""
+    return _value_join(docs, None, cfg, _exact_sig(attr), _exact_keep)
+
+
+def exact_rs_join(
+    docs_a: "ray.data.Dataset", docs_b: "ray.data.Dataset", attr: str, cfg: PipelineConfig
+) -> "ray.data.Dataset":
+    """Equality RS join on an attribute (reference ExactJoin RS,
+    stringjoin_parallel.h:495-599): A x B pairs of equal values, sim = 1.0."""
+    return _value_join(docs_a, docs_b, cfg, _exact_sig(attr), _exact_keep)
+
+
+def _anm_sig(attr: str, threshold: float, copies):
+    """anm-join emission: log-ratio bucketing — values within ratio t of
+    each other land in the same or adjacent log-bucket of width -ln t, and
+    key = bucket * 2 + (value > 0).  ``copies[table]`` lists the (bucket
+    shift, side) copies each record of that table emits.  |d| < 1e-5 never
+    matches (sim 0) and emits nothing."""
+    assert 0.0 < threshold < 1.0
+    w = -np.log(threshold)
+
+    def sig(t: pa.Table, table: int):
+        v = pd.to_numeric(pd.Series(
+            np.asarray(t.column(attr).to_numpy(zero_copy_only=False),
+                       dtype=object)), errors="coerce").to_numpy(np.float64)
+        ids = _ids_str(t.column("conv_id"))
+        ok = ~np.isnan(v) & (np.abs(v) >= 1e-5)
+        v, ids = v[ok], ids[ok]
+        key = np.floor(np.log(np.abs(v)) / w).astype(np.int64) * 2 + (v > 0)
+        shifts, sides = np.array(copies[table]).T
+        return (np.concatenate([key + 2 * sh for sh in shifts]),
+                np.repeat(sides.astype(np.int8), v.size),
+                np.tile(ids, shifts.size), np.tile(v, shifts.size))
+
+    return sig
+
+
+def _anm_keep(threshold: float):
+    """absoluteNorm 1 - |d1-d2|/max(|d1|,|d2|) >= t (simfunc.cc:297-315)."""
+    def keep(v, ii, jj):
+        d1, d2 = v[ii], v[jj]
+        rel = np.abs(d1 - d2) / np.maximum(np.abs(d1), np.abs(d2))
+        s = np.where(rel <= 1e-5, 1.0, 1.0 - rel)
+        return s >= threshold, s
+
+    return keep
 
 
 def anm_self_join(
@@ -1013,73 +1017,12 @@ def anm_self_join(
 ) -> "ray.data.Dataset":
     """absoluteNorm self-join: pairs with 1 - |d1-d2|/max(|d1|,|d2|) >= t
     (reference brute-force loop, simjoin_blocker.cc:117-166; formula
-    simfunc.cc:297-315).  Distributed as log-ratio bucketing: values within
-    ratio t of each other land in the same or adjacent log-bucket, so each
-    record is emitted to its bucket and bucket+1 and pairs are generated
-    within buckets only — a sort-free band join."""
-    assert 0.0 < threshold < 1.0
-    w = -np.log(threshold)  # bucket width in log space
-
-    def sig(t: pa.Table) -> pa.Table:
-        v = pd.to_numeric(pd.Series(
-            np.asarray(t.column(attr).to_numpy(zero_copy_only=False),
-                       dtype=object)), errors="coerce").to_numpy(np.float64)
-        ids = _ids_str(t.column("conv_id"))
-        ok = ~np.isnan(v) & (np.abs(v) >= 1e-5)  # |d|<1e-5 -> sim 0, never matches
-        v, ids = v[ok], ids[ok]
-        sign = np.sign(v).astype(np.int64)
-        b = np.floor(np.log(np.abs(v)) / w).astype(np.int64)
-        n = v.size
-        bk = np.concatenate([b * 2 + (sign > 0), (b + 1) * 2 + (sign > 0)])
-        return pa.table({
-            "pb": pa.array(bucket_of(bk, cfg.pair_partitions), pa.int32()),
-            "bk": pa.array(bk, pa.int64()),
-            "own": pa.array(np.concatenate([np.ones(n, bool), np.zeros(n, bool)])),
-            "id": pa.array(np.concatenate([ids, ids]) if n else ids, pa.string()),
-            "v": pa.array(np.concatenate([v, v]) if n else v, pa.float64()),
-        })
-
-    def pairs(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _EMPTY_PAIRS
-        bk = np.asarray(t.column("bk"), dtype=np.int64)
-        ids = _ids_str(t.column("id"))
-        v = np.asarray(t.column("v"), dtype=np.float64)
-        own = np.asarray(t.column("own"), dtype=bool)
-        order = np.argsort(bk, kind="stable")
-        bk, ids, v, own = bk[order], ids[order], v[order], own[order]
-        starts, sizes = group_sizes_from_sorted(bk)
-        # chunked vectorized decode over all log-buckets: a dense band's
-        # quadratic index space materializes chunk_pairs at a time
-        p1l, p2l, sl = [], [], []
-        for ii, jj in _iter_triangle_chunks(starts, sizes):
-            # exclude guest-guest pairs: a both-native pair meets in its own
-            # bucket; counting it again where both are guests double-counts
-            keep = own[ii] | own[jj]
-            ii, jj = ii[keep], jj[keep]
-            d1, d2 = v[ii], v[jj]
-            maxv = np.maximum(np.abs(d1), np.abs(d2))
-            rel = np.abs(d1 - d2) / maxv
-            s = np.where(rel <= 1e-5, 1.0, 1.0 - rel)
-            ok = (s >= threshold) & (ids[ii] != ids[jj])
-            a, b = ids[ii][ok], ids[jj][ok]
-            swap = a > b
-            p1l.append(np.where(swap, b, a))
-            p2l.append(np.where(swap, a, b))
-            sl.append(s[ok])
-        if not p1l:
-            return _EMPTY_PAIRS
-        return pa.table({
-            "id1": pa.array(np.concatenate(p1l), pa.string()),
-            "id2": pa.array(np.concatenate(p2l), pa.string()),
-            "sim": pa.array(np.concatenate(sl), pa.float64()),
-        })
-
-    return (
-        docs.map_batches(sig, batch_format="pyarrow")
-        .groupby("pb")
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+    simfunc.cc:297-315) — a sort-free band join.  Each record emits its
+    own bucket b (side 0) and a guest copy to b + 1 (side 1): a pair in one
+    bucket meets there as two side-0 rows, a pair in adjacent buckets as a
+    side-0 x side-1 row — once each."""
+    return _value_join(docs, None, cfg, _anm_sig(attr, threshold, [((0, 0), (1, 1))]),
+                       _anm_keep(threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -1142,60 +1085,6 @@ def setsim_rs_join(
     return verified
 
 
-def exact_rs_join(
-    docs_a: "ray.data.Dataset", docs_b: "ray.data.Dataset", attr: str, cfg: PipelineConfig
-) -> "ray.data.Dataset":
-    """Equality RS join on an attribute (reference ExactJoin RS,
-    stringjoin_parallel.h:495-599): hash-bucket on value hash, A x B pairs
-    within equal values; sim = 1.0."""
-
-    def sig(side):
-        def f(t: pa.Table) -> pa.Table:
-            vals = _fillna_str(t.column(attr))
-            h = hash_strings(vals)
-            return pa.table({
-                "pb": pa.array(bucket_of(h, cfg.pair_partitions), pa.int32()),
-                "vh": pa.array(h, pa.int64()),
-                "side": pa.array(np.full(vals.size, side, np.int8), pa.int8()),
-                "id": pa.array(_ids_str(t.column("conv_id")), pa.string()),
-                "val": pa.array(vals.astype("U"), pa.string()),
-            })
-
-        return f
-
-    def pairs(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _EMPTY_PAIRS
-        vh = np.asarray(t.column("vh"), dtype=np.int64)
-        side = np.asarray(t.column("side"), dtype=np.int8)
-        ids = _ids_str(t.column("id"))
-        vals = np.asarray(t.column("val").to_numpy(zero_copy_only=False),
-                          dtype="U")
-        order = np.lexsort((side, vh))
-        vh, side, ids, vals = vh[order], side[order], ids[order], vals[order]
-        starts, sizes = group_sizes_from_sorted(vh)
-        run_id = np.repeat(np.arange(sizes.size), sizes)
-        na = np.zeros(sizes.size, np.int64)
-        np.add.at(na, run_id[side == 0], 1)
-        nb = sizes - na
-        ii, jj = bipartite_pairs(starts, na, starts + na, nb)
-        if ii.size:
-            eq = vals[ii] == vals[jj]  # u64-collision guard
-            ii, jj = ii[eq], jj[eq]
-        return pa.table({
-            "id1": pa.array(ids[ii], pa.string()),
-            "id2": pa.array(ids[jj], pa.string()),
-            "sim": pa.array(np.ones(ii.size, np.float64), pa.float64()),
-        })
-
-    sigs = docs_a.map_batches(sig(0), batch_format="pyarrow").union(
-        docs_b.map_batches(sig(1), batch_format="pyarrow")
-    )
-    # no dedup shuffle: one pb bucket per value hash -> each A x B pair of an
-    # equal value is emitted exactly once
-    return sigs.groupby("pb").map_groups(pairs, batch_format="pyarrow")
-
-
 def anm_rs_join(
     docs_a: "ray.data.Dataset", docs_b: "ray.data.Dataset", attr: str,
     threshold: float, cfg: PipelineConfig, max_band_pairs: int | None = None,
@@ -1207,83 +1096,9 @@ def anm_rs_join(
 
     ``max_band_pairs``: the output of an anm band join is inherently
     quadratic in a dense band; when set, each band's A x B enumeration is
-    capped at this many pairs with a LOGGED warning — the reference's
-    MAX_PAIR_SIZE semantics (simjoin_blocker.cc:324-367, config.h) — instead
-    of exploding a worker.  None (default) = exact."""
-    assert 0.0 < threshold < 1.0
-    w = -np.log(threshold)
-
-    def sig(side):
-        def f(t: pa.Table) -> pa.Table:
-            v = pd.to_numeric(pd.Series(
-                np.asarray(t.column(attr).to_numpy(zero_copy_only=False),
-                           dtype=object)), errors="coerce").to_numpy(np.float64)
-            ids = _ids_str(t.column("conv_id"))
-            ok = ~np.isnan(v) & (np.abs(v) >= 1e-5)
-            v, ids = v[ok], ids[ok]
-            sign = np.sign(v).astype(np.int64)
-            b = np.floor(np.log(np.abs(v)) / w).astype(np.int64)
-            shifts = (-1, 0, 1) if side == 0 else (0,)
-            bk = np.concatenate([(b + sh) * 2 + (sign > 0) for sh in shifts])
-            k = len(shifts)
-            ids_k = np.concatenate([ids] * k) if v.size else ids
-            v_k = np.concatenate([v] * k) if v.size else v
-            return pa.table({
-                "pb": pa.array(bucket_of(bk, cfg.pair_partitions), pa.int32()),
-                "bk": pa.array(bk, pa.int64()),
-                "side": pa.array(np.full(bk.size, side, np.int8), pa.int8()),
-                "id": pa.array(ids_k, pa.string()),
-                "v": pa.array(v_k, pa.float64()),
-            })
-
-        return f
-
-    def pairs(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _EMPTY_PAIRS
-        bk = np.asarray(t.column("bk"), dtype=np.int64)
-        side = np.asarray(t.column("side"), dtype=np.int8)
-        ids = _ids_str(t.column("id"))
-        v = np.asarray(t.column("v"), dtype=np.float64)
-        # stable (bk, side) sort: per band the A rows come first, preserving
-        # arrival order — so the capped truncation below keeps the same
-        # "first A rows" the per-band loop it replaces kept
-        order = np.lexsort((side, bk))
-        bk, side, ids, v = bk[order], side[order], ids[order], v[order]
-        starts, sizes = group_sizes_from_sorted(bk)
-        run_id = np.repeat(np.arange(sizes.size), sizes)
-        na = np.zeros(sizes.size, np.int64)
-        np.add.at(na, run_id[side == 0], 1)
-        nb = sizes - na
-        if max_band_pairs is not None:
-            over = na * nb > max_band_pairs
-            if over.any():
-                # bounded enumeration: keep whole A rows until the cap fills
-                capped_a = np.maximum(1, max_band_pairs // np.maximum(nb, 1))
-                logger.warning(
-                    "anm rs join: %d dense band(s) exceed max_band_pairs=%d "
-                    "(largest %dx%d); truncating their A side (recall loss "
-                    "possible; raise the cap to make exact)",
-                    int(over.sum()), max_band_pairs,
-                    int(na[over].max()), int(nb[over].max()),
-                )
-                na = np.where(over, np.minimum(na, capped_a), na)
-        ii, jj = bipartite_pairs(starts, na, starts + (sizes - nb), nb)
-        d1, d2 = v[ii], v[jj]
-        maxv = np.maximum(np.abs(d1), np.abs(d2))
-        rel = np.abs(d1 - d2) / maxv
-        s = np.where(rel <= 1e-5, 1.0, 1.0 - rel)
-        ok = s >= threshold
-        return pa.table({
-            "id1": pa.array(ids[ii][ok], pa.string()),
-            "id2": pa.array(ids[jj][ok], pa.string()),
-            "sim": pa.array(s[ok], pa.float64()),
-        })
-
-    sigs = docs_a.map_batches(sig(0), batch_format="pyarrow").union(
-        docs_b.map_batches(sig(1), batch_format="pyarrow")
-    )
-    # no dedup shuffle: A's three shifted copies and B's single native copy
-    # meet in exactly ONE bucket (bk intersection is a single band), the
-    # same emitted-exactly-once argument exact_rs_join and anm_self_join use
-    return sigs.groupby("pb").map_groups(pairs, batch_format="pyarrow")
+    capped at this many pairs (whole A rows, LOGGED — see _value_join).
+    None (default) = exact."""
+    return _value_join(
+        docs_a, docs_b, cfg,
+        _anm_sig(attr, threshold, [((-1, 0), (0, 0), (1, 0)), ((0, 1),)]),
+        _anm_keep(threshold), max_band_pairs)

@@ -29,12 +29,13 @@ import ray.data
 
 logger = logging.getLogger(__name__)
 
+from ..functions import hashing as H
 from ..functions.hashing import (
     bucket_of,
     get_broadcast,
     group_sizes_from_sorted,
     hash_strings,
-    within_group_pairs,
+    iter_pairs,
 )
 from ..functions.tokenize import tokenize_array
 
@@ -158,7 +159,7 @@ def _minhash_bands(t: pa.Table, *, id_col, text_col, tok, q, n_perm, n_bands,
     )
 
 
-def _minhash_pairgen(t: pa.Table, max_bucket: int = 100_000) -> pa.Table:
+def _minhash_pairgen(t: pa.Table, *, chunk: int, max_bucket: int = 100_000) -> pa.Table:
     """Within-bucket candidate pairs under the first-agreeing-band rule.
 
     Rows are sorted by (key, band0-hash); inside a band-b>0 bucket only pairs
@@ -167,7 +168,8 @@ def _minhash_pairgen(t: pa.Table, max_bucket: int = 100_000) -> pa.Table:
     (which agree at band 0 with prob s^r) therefore never re-enumerate their
     quadratic pair space at bands 1..n-1.  Agreements at bands 1..b-1 are
     then killed by a column-at-a-time check with compaction (no
-    (n_pairs, n_bands) matrix is ever materialized)."""
+    (n_pairs, n_bands) matrix is ever materialized).  Both decodes run
+    ``chunk`` pairs at a time (iter_pairs)."""
     empty = pa.table({"id1": pa.array([], pa.int64()), "id2": pa.array([], pa.int64())})
     key = np.asarray(t.column("key"), dtype=np.int64)
     if key.size == 0:
@@ -215,33 +217,26 @@ def _minhash_pairgen(t: pa.Table, max_bucket: int = 100_000) -> pa.Table:
 
     # --- band-0 buckets: enumerate every within-bucket pair -----------------
     b0_groups = is_b0[starts]  # a bucket is homogeneous in band
-    s0, z0 = starts[b0_groups], sizes[b0_groups]
-    ii0, jj0 = within_group_pairs(z0)
-    if ii0.size:
-        rel = np.concatenate(([0], np.cumsum(z0)[:-1]))
-        npg = z0 * (z0 - 1) // 2
-        g = np.repeat(np.arange(z0.size), npg)
-        shift = s0[g] - rel[g]
-        out_i.append(ii0 + shift)
-        out_j.append(jj0 + shift)
+    for ii, jj in iter_pairs(starts[b0_groups], sizes[b0_groups], chunk=chunk):
+        out_i.append(ii)
+        out_j.append(jj)
 
     # --- band>0 buckets: cross-band0-subgroup pairs only --------------------
+    # row r pairs with the l2[r] rows of its bucket's earlier subgroups
     sub_change = np.ones(n, bool)
     sub_change[1:] = (key[1:] != key[:-1]) | (bh0[1:] != bh0[:-1])
     sub_start = np.maximum.accumulate(np.where(sub_change, np.arange(n), 0))
     l2 = np.where(is_b0, 0, sub_start - grp_start)  # earlier-subgroup row count
-    total = int(l2.sum())
-    if total:
-        jj = np.repeat(np.arange(n), l2)
-        cum = np.concatenate(([0], np.cumsum(l2)[:-1]))
-        ii = np.arange(total) - np.repeat(cum, l2) + np.repeat(grp_start, l2)
+    rows = np.flatnonzero(l2)
+    for jj, ii in iter_pairs(rows, np.ones_like(rows), grp_start[rows], l2[rows],
+                             chunk=chunk):
         # kill agreements at bands 1..b-1 (band 0 is structurally excluded).
         # A bucket is homogeneous in band EXCEPT under a cross-band 64-bit
         # key collision; the band[ii] > bprime gate makes the check exact
         # even then — a partner whose prefix cannot hold band bprime simply
         # keeps the pair (it can only ADD a duplicate candidate, never drop
         # a true one), and both prefix reads below are in-bounds by the gate
-        keep = np.ones(total, bool)
+        keep = np.ones(ii.size, bool)
         b = band[jj]
         alive = np.flatnonzero(b > 1)
         for bprime in range(1, int(b.max()) if alive.size else 1):
@@ -270,7 +265,8 @@ def _minhash_pairgen(t: pa.Table, max_bucket: int = 100_000) -> pa.Table:
     )
 
 
-def _candidate_pairs_from_keys(df: pd.DataFrame, max_bucket: int = 2000) -> pd.DataFrame:
+def _candidate_pairs_from_keys(df: pd.DataFrame, chunk: int,
+                               max_bucket: int = 2000) -> pd.DataFrame:
     key = df["key"].to_numpy(np.int64)
     ids = df["id"].to_numpy()
     order = np.argsort(key, kind="stable")
@@ -285,16 +281,14 @@ def _candidate_pairs_from_keys(df: pd.DataFrame, max_bucket: int = 2000) -> pd.D
             "recall loss possible; raise max_bucket to make exact",
             n_trunc, dropped, max_bucket,
         )
-    ii, jj = within_group_pairs(sizes_c)
-    if ii.size:
-        rel = np.concatenate(([0], np.cumsum(sizes_c)[:-1]))
-        npg = sizes_c * (sizes_c - 1) // 2
-        grp = np.repeat(np.arange(sizes_c.size), npg)
-        shift = starts[grp] - rel[grp]
-        ii, jj = ii + shift, jj + shift
-    a, b = ids[ii], ids[jj]
-    swap = a > b
-    return pd.DataFrame({"id1": np.where(swap, b, a), "id2": np.where(swap, a, b)}).drop_duplicates()
+    p1l, p2l = [ids[:0]], [ids[:0]]
+    for ii, jj in iter_pairs(starts, sizes_c, chunk=chunk):
+        a, b = ids[ii], ids[jj]
+        swap = a > b
+        p1l.append(np.where(swap, b, a))
+        p2l.append(np.where(swap, a, b))
+    return pd.DataFrame({"id1": np.concatenate(p1l),
+                         "id2": np.concatenate(p2l)}).drop_duplicates()
 
 
 def minhash_lsh_dedup(
@@ -319,7 +313,8 @@ def minhash_lsh_dedup(
                        seed=seed, hash64=hash64),
         batch_format="pyarrow",
     )
-    cands = sigs.groupby("pb").map_groups(_minhash_pairgen, batch_format="pyarrow")
+    cands = sigs.groupby("pb").map_groups(_minhash_pairgen, batch_format="pyarrow",
+                                          fn_kwargs={"chunk": H.PAIR_CHUNK})
 
     # distributed tokenize for the verify side (same tokenizer as the bands)
     def tok_table(t: pa.Table) -> pa.Table:
@@ -381,6 +376,7 @@ def simhash_dedup(
     widths = np.full(n_bands, 64 // n_bands, dtype=np.int64)
     widths[: 64 % n_bands] += 1
     bit_starts = np.concatenate(([0], np.cumsum(widths)[:-1]))
+    chunk = H.PAIR_CHUNK
 
     sigs = docs.map_batches(
         lambda t: simhash_signatures(t, id_col, text_col, tok, q, hash64),
@@ -412,7 +408,7 @@ def simhash_dedup(
         )
 
     def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        cand = _candidate_pairs_from_keys(df[["key", "id"]])
+        cand = _candidate_pairs_from_keys(df[["key", "id"]], chunk)
         if not len(cand):
             cand["hamming"] = pd.Series(dtype=np.int64)
             return cand
@@ -432,7 +428,6 @@ def simhash_dedup(
     cands = sigs.map_batches(bands, batch_format="pyarrow").groupby("pb").map_groups(
         lambda g: pairs(g.drop(columns=["pb"])), batch_format="pandas"
     )
-    from .blocking import dedupe_pairs
 
     def dd(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(["id1", "id2"])
@@ -564,9 +559,10 @@ def embedding_dup_pairs(
         })
 
     sigs = emb.map_batches(sign_batch, batch_format="pyarrow")
+    chunk = H.PAIR_CHUNK
     cands = sigs.groupby("pb").map_groups(
-        lambda g: _candidate_pairs_from_keys(g.drop(columns=["pb"])), batch_format="pandas"
-    )
+        lambda g: _candidate_pairs_from_keys(g.drop(columns=["pb"]), chunk),
+        batch_format="pandas")
     # a pair can surface from several agreeing bands -> int-keyed dedup
     # shuffle before the (more expensive) cosine verify
     from .blocking import dedupe_pairs

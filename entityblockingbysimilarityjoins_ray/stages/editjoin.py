@@ -20,13 +20,15 @@ variant stringjoin_parallel.h:487-488):
   row) in-task — exact, as a probe record lives in one task and a self pair
   is kept only from its longer (or, at equal length, larger-id) record —
   and verifies exact Levenshtein <= D.  No shuffle.  Candidates expand in
-  chunks of at most ``_PROBE_CHUNK`` pairs cut between probe records, so a
-  hot key holds one chunk plus one record's distinct candidates.
-- beyond it, the keys hash-partition: pairs form within identical keys
-  (index x probe, bipartite; a self join also pairs index-index rows of
-  equal length, triangle), and the slim (k1, k2) pairs grid-shuffle ONCE
-  against VALUE shard stores and verify in-cell (verify.grid_verify with
-  the _lev_cell kernel; cell-local dedup is globally exact).
+  chunks of at most ``functions.hashing.PAIR_CHUNK`` pairs cut between probe
+  records, so a hot key holds one chunk plus one record's distinct
+  candidates.
+- beyond it, the keys hash-partition: pairs form within identical keys,
+  decoded a chunk at a time (index x probe, rectangle; a self join also
+  pairs index-index rows of equal length, triangle), and the slim (k1, k2)
+  pairs grid-shuffle ONCE against VALUE shard stores and verify in-cell
+  (verify.grid_verify with the _lev_cell kernel; cell-local dedup is
+  globally exact).
 
 Signature hashing is one vectorized pass per batch: a polynomial prefix hash
 (wrapping uint64, odd base, over codepoint + 1) of the batch's flat UTF-32
@@ -40,6 +42,7 @@ strings (still exact).
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -49,7 +52,8 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions import sims as S
-from ..functions.hashing import PROBE_CHUNK, bipartite_pairs, bucket_of, get_broadcast, probe_pairs
+from ..functions import hashing as H
+from ..functions.hashing import bucket_of, get_broadcast, iter_pairs, probe_pairs, side_runs
 
 _U64 = np.uint64
 _BASE = 0x100000001B3  # odd, so invertible mod 2^64
@@ -57,7 +61,6 @@ _BASE_INV = pow(_BASE, -1, 1 << 64)
 _ROLES = {"self": (("index", 0), ("probe_le", 1)),
           "index": (("index", 0),),
           "probe": (("probe_all", 1),)}
-_PROBE_CHUNK = PROBE_CHUNK  # read per call, so tests can shrink it
 
 
 def _segments(length: int, k: int) -> list[tuple[int, int]]:
@@ -165,48 +168,32 @@ class EditSignatureEmitter:
             "side": side.astype(np.int8), "id": ids[row], "slen": lens[row]})
 
 
-def _edit_pairgen(df: pd.DataFrame, D: int, rs: bool = False) -> pd.DataFrame:
+def _edit_pairgen(df: pd.DataFrame, *, D: int, rs: bool, chunk: int) -> pd.DataFrame:
     key = df["key"].to_numpy(np.int64)
     side = df["side"].to_numpy(np.int8)
     ids = df["id"].to_numpy().astype("U")
     slen = df["slen"].to_numpy(np.int64)
     order = np.lexsort((side, key))
     key, side, ids, slen = key[order], side[order], ids[order], slen[order]
-    change = np.flatnonzero(key[1:] != key[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    sizes = np.diff(np.concatenate((starts, [key.size])))
-    run_id = np.repeat(np.arange(sizes.size), sizes)
-    na = np.zeros(sizes.size, np.int64)
-    np.add.at(na, run_id[side == 0], 1)
-    nb = sizes - na
-    # index-side x probe-side (bipartite); self-join also needs index-index
-    # pairs of equal length (both emitted identical index keys) -> triangle
-    from ..functions.hashing import within_group_pairs
-
-    if rs:
-        i1 = j1 = np.empty(0, np.int64)
-    else:
-        i1, j1 = within_group_pairs(na)
-        if i1.size:
-            rel = np.concatenate(([0], np.cumsum(na)[:-1]))
-            npg = na * (na - 1) // 2
-            grp = np.repeat(np.arange(na.size), npg)
-            i1 = i1 + (starts[grp] - rel[grp])
-            j1 = j1 + (starts[grp] - rel[grp])
-    i2, j2 = bipartite_pairs(starts, na, starts + na, nb)
-    ii = np.concatenate((i1, i2))
-    jj = np.concatenate((j1, j2))
-    if ii.size == 0:
-        return pd.DataFrame({"id1": pd.Series(dtype=str), "id2": pd.Series(dtype=str)})
-    mask = np.abs(slen[ii] - slen[jj]) <= D
-    if rs:
-        # side 0 = index table (B), side 1 = probe table (A): output (A, B)
-        a, b = ids[jj][mask], ids[ii][mask]
-        return pd.DataFrame({"id1": a, "id2": b})
-    mask &= ids[ii] != ids[jj]
-    a, b = ids[ii][mask], ids[jj][mask]
-    swap = a > b
-    return pd.DataFrame({"id1": np.where(swap, b, a), "id2": np.where(swap, a, b)})
+    starts, na, nb = side_runs(side, key)
+    # index-side x probe-side (rectangle); a self join also pairs index rows
+    # of equal length (both emitted identical index keys) -> triangle
+    decodes = [iter_pairs(starts, na, starts + na, nb, chunk=chunk)]
+    if not rs:
+        decodes.append(iter_pairs(starts, na, chunk=chunk))
+    out1, out2 = [np.empty(0, "U1")], [np.empty(0, "U1")]
+    for ii, jj in itertools.chain(*decodes):
+        mask = np.abs(slen[ii] - slen[jj]) <= D
+        if rs:
+            # side 0 = index table (B), side 1 = probe table (A): output (A, B)
+            a, b = ids[jj[mask]], ids[ii[mask]]
+        else:
+            mask &= ids[ii] != ids[jj]
+            a, b = ids[ii[mask]], ids[jj[mask]]
+            a, b = np.where(a < b, a, b), np.where(a < b, b, a)
+        out1.append(a)
+        out2.append(b)
+    return pd.DataFrame({"id1": np.concatenate(out1), "id2": np.concatenate(out2)})
 
 
 def _lev_kernel(a: np.ndarray, b: np.ndarray, D: int):
@@ -306,7 +293,7 @@ def _edit_join(docs_a, docs_b, attr: str, D: int, cfg: PipelineConfig,
         ref = ray.put((bids, bvals, blens, key[order], row[order]))
         return proj_a.map_batches(
             _edit_probe, batch_format="pyarrow",
-            fn_kwargs=dict(ref=ref, D=D, rs=rs, chunk=_PROBE_CHUNK))
+            fn_kwargs=dict(ref=ref, D=D, rs=rs, chunk=H.PAIR_CHUNK))
     from .blocking import verify_shards
     from .verify import build_token_shard_store, grid_verify, slim_pairs
 
@@ -326,7 +313,8 @@ def _edit_join(docs_a, docs_b, attr: str, D: int, cfg: PipelineConfig,
             EditSignatureEmitter(D, cfg.pair_partitions, mode="probe"), batch_format="pandas"))
         store_b = store(proj_b)
     candidates = sigs.groupby("pb").map_groups(
-        _edit_pairgen, fn_kwargs={"D": D, "rs": rs}, batch_format="pandas")
+        _edit_pairgen, fn_kwargs={"D": D, "rs": rs, "chunk": H.PAIR_CHUNK},
+        batch_format="pandas")
     return grid_verify(slim_pairs(candidates, canonical=not rs), store(proj_a),
                        _lev_cell(D), store_b=store_b)
 

@@ -85,9 +85,10 @@ def hash_join(
     right_on: str,
     num_partitions: int = 32,
     how: str = "inner",
-    drop_right_key: bool = True,
 ) -> "ray.data.Dataset":
-    """Equi-join; column sets of the two sides must be disjoint except keys."""
+    """Equi-join; column sets of the two sides must be disjoint except keys.
+    A differently-named right key column is dropped from the output: it
+    repeats the left key after the equi-match."""
     lsch = _pa_schema(left)
     rsch = _pa_schema(right)
     lnames = list(lsch.names)
@@ -117,9 +118,7 @@ def hash_join(
     l = left.map_batches(norm(0, on), batch_format="pyarrow")
     r = right.map_batches(norm(1, right_on), batch_format="pyarrow")
 
-    extra_r = [n for n in rnames if n not in lnames]
-    if drop_right_key and right_on != on:
-        extra_r = [n for n in extra_r if n != right_on]
+    extra_r = [n for n in rnames if n not in lnames and n != right_on]
     out_names = lnames + extra_r
     field_of = {f.name: f for f in all_fields}
     out_schema = pa.schema([field_of[n] for n in out_names])
@@ -235,8 +234,8 @@ def asof_join(
     l = left.map_batches(norm(0, on, left_ts), batch_format="pyarrow")
     r = right.map_batches(norm(1, right_on, right_ts), batch_format="pyarrow")
 
-    # mirror hash_join's drop_right_key: a differently-named right key column
-    # is redundant after the equi-match
+    # as in hash_join, a differently-named right key column is redundant
+    # after the equi-match
     extra_r = [n for n in rnames if n not in lnames and n != right_on]
     out_names = lnames + extra_r
     field_of = {f.name: f for f in all_fields}

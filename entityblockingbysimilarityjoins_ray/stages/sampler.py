@@ -33,7 +33,9 @@ import ray
 import ray.data
 
 from ..config import PipelineConfig
-from ..functions.hashing import bucket_of, group_sizes_from_sorted, hash_strings
+from ..functions import hashing as H
+from ..functions.hashing import (
+    bucket_of, group_sizes_from_sorted, hash_strings, iter_pairs, side_runs)
 from ..functions.tokenize import md5_hash_strings
 from . import blocking as B
 
@@ -76,6 +78,7 @@ def down_sample(
     frac = min(1.0, n_probes / max(n_records, 1))
     toks = B.tokenize_docs(docs, attr, tok, q)
     id_hfn = {"pandas": hash_strings, "md5": md5_hash_strings}[id_hash64]
+    chunk = H.PAIR_CHUNK
 
     def emit(t: pa.Table) -> pa.Table:
         ids = np.asarray(t.column("conv_id").to_numpy(zero_copy_only=False), dtype=object)
@@ -114,24 +117,21 @@ def down_sample(
             local = np.arange(tok.size) - np.repeat(starts, sizes)
             keep = local < np.repeat(np.minimum(sizes, max_list), sizes)
             tok, side, ids = tok[keep], side[keep], ids[keep]
-            starts, sizes = group_sizes_from_sorted(tok)
-        run = np.repeat(np.arange(sizes.size), sizes)
-        np_probe = np.zeros(sizes.size, np.int64)
-        np.add.at(np_probe, run[side == 0], 1)
-        from ..functions.hashing import bipartite_pairs
-
+        starts, n_probe, n_mate = side_runs(side, tok)
+        ids = ids.astype("U")
         # Probes (sorted first in each run) pair against the ENTIRE inverted
         # list — mates AND other probes (DownSampler::sample collects every
         # record on a probe's lists; probe-probe duplicates collapse in the
         # canonical a<b + dedupe_pairs step).
-        ii, jj = bipartite_pairs(starts, np_probe, starts, sizes)
-        a = ids[ii].astype("U")
-        b = ids[jj].astype("U")
-        neq = a != b
-        a, b = a[neq], b[neq]
-        swap = a > b
-        return pa.table({"id1": pa.array(np.where(swap, b, a), pa.string()),
-                         "id2": pa.array(np.where(swap, a, b), pa.string())})
+        out1, out2 = [np.empty(0, "U1")], [np.empty(0, "U1")]
+        for ii, jj in iter_pairs(starts, n_probe, starts, n_probe + n_mate, chunk=chunk):
+            a, b = ids[ii], ids[jj]
+            neq = a != b
+            a, b = a[neq], b[neq]
+            out1.append(np.where(a < b, a, b))
+            out2.append(np.where(a < b, b, a))
+        return pa.table({"id1": pa.array(np.concatenate(out1), pa.string()),
+                         "id2": pa.array(np.concatenate(out2), pa.string())})
 
     sigs = toks.map_batches(emit, batch_format="pyarrow")
     cand = sigs.groupby("pb").map_groups(pairs, batch_format="pyarrow")

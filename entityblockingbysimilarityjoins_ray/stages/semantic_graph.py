@@ -42,7 +42,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..functions.hashing import get_broadcast
+from ..functions import hashing as H
+from ..functions.hashing import get_broadcast, iter_pairs
 from .interchangeable import ValueEmbedder, embed_values, matched_values
 
 logger = logging.getLogger(__name__)
@@ -123,9 +124,6 @@ class _CoherentSimState:
         self.S = np.zeros((len(vals), d), np.float64)
         if ti.size:
             np.add.at(self.S, rows, self.N[ti])
-
-    def _toks_of(self, v: int) -> np.ndarray:
-        return self.tok_ids[self.tok_offs[v]:self.tok_offs[v + 1]]
 
     def _fx(self, Sa, ka, Sb, kb, inter_ids) -> float:
         """F over the union given both partial sums and the intersection
@@ -419,6 +417,7 @@ def semantic_graph(
     V = len(vocab)
     ekeys = np.sort(np.minimum(ei, ej) * V + np.maximum(ei, ej))
     ekeys_ref = ray.put(ekeys)
+    chunk = H.PAIR_CHUNK
     eidx = ray.data.from_arrow(pa.table({
         "mid": pa.array(np.concatenate([ei, ej]), pa.int64()),
         "nb": pa.array(np.concatenate([ej, ei]), pa.int64()),
@@ -438,8 +437,11 @@ def semantic_graph(
                 int(df["mid"].iloc[0]), n, keep, total - keep * (keep - 1) // 2)
             nb = nb[:keep]
             n = len(nb)
-        a, b = np.triu_indices(n, k=1)
-        return pd.DataFrame({"k1": nb[a], "k2": nb[b]})
+        k1, k2 = [nb[:0]], [nb[:0]]
+        for a, b in iter_pairs([0], [n], chunk=chunk):
+            k1.append(nb[a])
+            k2.append(nb[b])
+        return pd.DataFrame({"k1": np.concatenate(k1), "k2": np.concatenate(k2)})
 
     hop2 = dedupe_pairs(
         eidx.groupby("mid").map_groups(neighbor_pairs, batch_format="pandas"),

@@ -29,6 +29,7 @@ weights[r] the same way).
 
 from __future__ import annotations
 
+import itertools
 import logging
 
 import numpy as np
@@ -39,7 +40,8 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions import sims as S
-from ..functions.hashing import bucket_of, get_broadcast, hash_strings
+from ..functions import hashing as H
+from ..functions.hashing import bucket_of, get_broadcast, hash_strings, iter_pairs, side_runs
 from .blocking import dedupe_pairs, lookup_df
 
 logger = logging.getLogger(__name__)
@@ -193,6 +195,7 @@ def _emit_weighted_signatures(
 
 def _pairgen_weighted(
     t: pa.Table, *, sim: str, threshold: float, alpha: float, rs: bool = False,
+    chunk: int,
 ) -> pa.Table:
     """Within-bucket weighted candidate generation (weight + positional
     filters), mirroring blocking._pairgen_bucket for float weights.
@@ -214,19 +217,14 @@ def _pairgen_weighted(
     tok, cell, side, ids, idh, wlen, wrem, wtok = (
         a[order] for a in (tok, cell, side, ids, idh, wlen, wrem, wtok)
     )
-    change = (tok[1:] != tok[:-1]) | (cell[1:] != cell[:-1])
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    sizes = np.diff(np.concatenate((starts, [tok.size])))
-    run_id = np.repeat(np.arange(sizes.size), sizes)
-    na = np.zeros(sizes.size, np.int64)
-    np.add.at(na, run_id[side == 0], 1)
-    nb = sizes - na
-
-    from ..functions.hashing import bipartite_pairs, within_group_pairs
-
+    starts, na, nb = side_runs(side, tok, cell)
+    tri = nb == 0
+    decodes = [iter_pairs(starts[~tri], na[~tri], starts[~tri] + na[~tri], nb[~tri],
+                          chunk=chunk)]
+    if not rs:  # RS: single-side groups have no cross pairs
+        decodes.append(iter_pairs(starts[tri], na[tri], chunk=chunk))
     out_i, out_j = [], []
-
-    def emit(ii, jj):
+    for ii, jj in itertools.chain(*decodes):
         wa, wb = wlen[ii], wlen[jj]
         mask = np.minimum(wa, wb) >= alpha * np.maximum(wa, wb) - _EPS
         T = _pair_min_weight(sim, threshold, wa, wb)
@@ -235,21 +233,6 @@ def _pairgen_weighted(
             mask &= idh[ii] != idh[jj]
         out_i.append(ii[mask])
         out_j.append(jj[mask])
-
-    tri = nb == 0
-    if not rs:  # RS: single-side groups have no cross pairs
-        z = na[tri]
-        s0 = starts[tri]
-        i1, j1 = within_group_pairs(z)
-        if i1.size:
-            rel = np.concatenate(([0], np.cumsum(z)[:-1]))
-            npg = z * (z - 1) // 2
-            g = np.repeat(np.arange(z.size), npg)
-            emit(i1 + s0[g] - rel[g], j1 + s0[g] - rel[g])
-    cross = ~tri
-    i2, j2 = bipartite_pairs(starts[cross], na[cross], starts[cross] + na[cross], nb[cross])
-    if i2.size:
-        emit(i2, j2)
 
     if not out_i:
         return empty
@@ -416,7 +399,7 @@ def setsim_self_join_weighted(
     candidates = sigs.groupby("pb").map_groups(
         _pairgen_weighted,
         fn_kwargs={"sim": sim, "threshold": threshold,
-                   "alpha": _weight_ratio(sim, threshold)},
+                   "alpha": _weight_ratio(sim, threshold), "chunk": H.PAIR_CHUNK},
         batch_format="pyarrow",
     )
     return _weighted_verify_stage(
@@ -481,7 +464,8 @@ def setsim_rs_join_weighted(
     candidates = sigs_a.union(sigs_b).groupby("pb").map_groups(
         _pairgen_weighted,
         fn_kwargs={"sim": sim, "threshold": threshold,
-                   "alpha": _weight_ratio(sim, threshold), "rs": True},
+                   "alpha": _weight_ratio(sim, threshold), "rs": True,
+                   "chunk": H.PAIR_CHUNK},
         batch_format="pyarrow",
     )
     return _weighted_verify_stage(

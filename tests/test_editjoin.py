@@ -234,9 +234,9 @@ def test_edit_join_hot_key_chunked_probe(ray_session, monkeypatch):
     (one per matching index row per shared key) overflow a small chunk
     budget, so the probe cuts inside records and must carry the record's
     seen candidates across chunks — self and RS still equal brute force."""
-    from entityblockingbysimilarityjoins_ray.stages import editjoin
+    from entityblockingbysimilarityjoins_ray.functions import hashing
 
-    monkeypatch.setattr(editjoin, "_PROBE_CHUNK", 500)
+    monkeypatch.setattr(hashing, "PAIR_CHUNK", 500)
     vals = ["hot key"] * 600 + ["hot kez", "hot", "cold key", ""]
     df = pd.DataFrame({"conv_id": [f"h{i:04d}" for i in range(len(vals))], "head": vals})
     got = _rows(edit_self_join(ray.data.from_pandas(df), "head", 1, CFG))

@@ -13,6 +13,7 @@ import pytest
 import ray.data
 
 from entityblockingbysimilarityjoins_ray.config import PipelineConfig
+from entityblockingbysimilarityjoins_ray.functions import hashing
 from entityblockingbysimilarityjoins_ray.functions.tokenize import oracle_tokens
 from entityblockingbysimilarityjoins_ray.stages import blocking as B
 from entityblockingbysimilarityjoins_ray.stages.editjoin import edit_rs_join
@@ -267,7 +268,7 @@ def test_setsim_hot_token_chunked_probe(ray_session, monkeypatch, sim, threshold
     """600 records sharing hot tokens with the probe chunk at 500 pairs: a
     record's raw candidates straddle chunks, and its seen pairs must carry
     across them.  Self and RS joins equal brute force on both plans."""
-    monkeypatch.setattr(B, "_PROBE_CHUNK", 500)
+    monkeypatch.setattr(hashing, "PAIR_CHUNK", 500)
     df = _hot_docs()
     a, b = df.iloc[::2].reset_index(drop=True), df.iloc[1::2].reset_index(drop=True)
     toks = B.tokenize_docs(ray.data.from_pandas(df), "doc", "dlm").materialize()
